@@ -1,6 +1,8 @@
 """Command line: sequence tables, verification suites, benchmarks, determinants.
 
 Exit codes: 0 all checks passed, 1 an identity check failed, 2 usage error.
+Arguments are checked before any work starts; an internal error is not a
+usage error and surfaces as a traceback.
 All output is exact (integers and canonical monomial strings, no floats).
 """
 
@@ -33,6 +35,14 @@ RULE_CHOICES = ("unit", "generic", "powers", "doubling", "grs")
 
 class UsageError(Exception):
     pass
+
+
+def _check_shift(rule: str, m: int) -> None:
+    """Reject a shift that no determinant rule accepts, before any work."""
+    if m < 0:
+        raise UsageError("--m must be nonnegative")
+    if rule == "grs" and m < 1:
+        raise UsageError("the grs rule assigns no value to x0; it needs --m >= 1")
 
 
 def _default_rule(seq: str) -> str:
@@ -104,6 +114,8 @@ def cmd_table(ns) -> int:
     if ns.seq == "D" and ns.m not in (None, 1):
         raise UsageError("--seq D is the shift-1 table; drop --m or use --seq d")
     m = ns.m if ns.m is not None else (1 if ns.seq == "D" else 0)
+    if ns.seq in ("d", "D"):
+        _check_shift(rule, m)
     if ns.frm < 0 or ns.to < ns.frm:
         raise UsageError("need 0 <= --from <= --to")
     if ns.seq == "b" and ns.frm < 2:
@@ -285,6 +297,8 @@ def cmd_verify(ns) -> int:
         raise UsageError("--max-n must be at least 1")
     if ns.max_m < 1:
         raise UsageError("--max-m must be at least 1")
+    if ns.m is not None and ns.m < 2:
+        raise UsageError("the conjecture scan needs --m >= 2")
     rng = random.Random(ns.prop_seed)
     failures = 0
     if ns.suite == "all":
@@ -355,6 +369,7 @@ def cmd_bench(ns) -> int:
     rule, m, n = ns.rule, ns.m, ns.n
     if n < 0:
         raise UsageError("--n must be nonnegative")
+    _check_shift(rule, m)
     if ns.engine == "closed":
         if n > 10**9:
             raise UsageError("closed engine is guarded to n <= 10^9")
@@ -378,7 +393,12 @@ def cmd_bench(ns) -> int:
 
 
 def cmd_det(ns) -> int:
+    if ns.n < 0:
+        raise UsageError("--n must be nonnegative")
+    _check_shift(ns.rule, ns.m)
     sr = SequenceRule(ns.rule, ns.m)
+    if ns.engine == "bareiss" and sr.symbolic:
+        raise UsageError("bareiss engine needs an integer rule (unit/grs)")
     mat = build_matrix(sr, ns.n)
     if ns.show:
         print(mat.render_grid())
@@ -441,9 +461,6 @@ def main(argv=None) -> int:
     try:
         return ns.func(ns)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,9 @@
 Sign sequences d(n), D(n), T_n, the Favard coefficients, shifted
 determinants d(n, m), the periodic exponent tables, the symbolic
 monomials, their specializations, and the empirical scanner for the
-shifted-determinant conjecture.  Every evaluator here is O(log n) unless
-it explicitly falls back to the matrix oracle for small base cases.
+shifted-determinant conjecture.  Every determinant reduction folds over
+the one interval-reversal block construction, ``nimble_blocks``; nothing
+here calls a matrix oracle.  Evaluators are O(log n) unless noted.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import threading
 from dataclasses import dataclass, field
 
 from . import seq
-from .exactring import XVAR, LaurentPoly
-from .hankel import SequenceRule, build_matrix, det_oracle
+from .exactring import LaurentPoly
 
 
 def _binom2_parity(x: int) -> int:
@@ -136,7 +136,7 @@ def favard_st(n: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Shifted determinants d(n, m)
+# The interval-reversal blocks and the shifted determinants d(n, m)
 # ---------------------------------------------------------------------------
 
 
@@ -145,70 +145,68 @@ def _shift_class(m: int) -> int:
     return (m - 1).bit_length() - 1
 
 
-def _shift_base_bound(m: int) -> int:
-    return max(1 << (_shift_class(m) + 2), 16)
+def nimble_blocks(n: int, m: int) -> list[tuple[int, int]] | None:
+    """Descending interval-reversal blocks [(k, L), ...] of the order-n
+    Hankel matrix with shift m, or None when some row has no admissible image.
 
-
-def _shift_reduction(n: int, m: int):
-    """One interval-reversal step for d(n, m), m >= 2.
-
-    Returns None when a zero row forces d(n, m) = 0, else
-    (block length L, variable index k, reduced n') with
-    d(n, m) = (-1)^C(L,2) * x_{2^k-1}^L * d(n', m).
+    With rows [0, hi) still open, p is the smallest power of two >= hi + m.
+    Row hi - 1 needs a column j <= hi - 1 with hi - 1 + j + m + 1 = p, so
+    p > 2 hi + m - 1 leaves it without one; otherwise rows [p - m - hi, hi)
+    map order-reversing onto the same columns through antidiagonal p - m - 1,
+    whose entry is x_{2^k-1} with p = 2^k.  A block of length L contributes
+    the sign (-1)^C(L,2) and the factor x_{2^k-1}^L to the determinant.
     """
-    gap = 1 << n.bit_length()  # smallest power of two > n
-    if gap < n + m:
-        return None
-    q = 1 << (n + m - 1).bit_length()  # smallest power of two >= n + m
-    return 2 * n + m - q, q.bit_length() - 1, q - m - n
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be nonnegative")
+    blocks = []
+    hi = n
+    while hi > 0:
+        p = 1 << (hi + m - 1).bit_length()  # smallest power of two >= hi + m
+        if p > 2 * hi + m - 1:
+            return None
+        lo = p - m - hi
+        blocks.append((p.bit_length() - 1, hi - lo))
+        hi = lo
+    return blocks
+
+
+def blocks_sign(blocks: list[tuple[int, int]]) -> int:
+    """Product of the block signs (-1)^C(L,2): the sign of the permutation."""
+    return _pm(sum(_binom2_parity(length) for _, length in blocks))
+
+
+def _blocks_monomial(blocks: list[tuple[int, int]] | None) -> LaurentPoly:
+    """The signed monomial prod (-1)^C(L,2) x_{2^k-1}^L, or zero for None."""
+    if blocks is None:
+        return LaurentPoly.zero()
+    exps: dict[int, int] = {}
+    for k, length in blocks:
+        exps[k] = exps.get(k, 0) + length
+    return LaurentPoly.monomial(blocks_sign(blocks), exps)
 
 
 def d_shift_int(n: int, m: int) -> int:
     """Shifted Catalan-mod-2 Hankel determinant in {-1, 0, +1}.
 
-    m = 0 and m = 1 delegate to the closed signs; for m >= 2 the
-    interval-reversal reduction runs until the Bareiss oracle takes over
-    below max(2^{K+2}, 16).
+    m = 0 and m = 1 delegate to the closed signs ``d_sign`` / ``D_sign``;
+    for m >= 2 it is the product of the ``nimble_blocks`` signs, or 0.
     """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
     if m == 0:
         return d_sign(n)
     if m == 1:
         return D_sign(n)
-    bound = _shift_base_bound(m)
-    sign = 1
-    while n >= bound:
-        step = _shift_reduction(n, m)
-        if step is None:
-            return 0
-        length, _, n = step
-        sign *= _pm(_binom2_parity(length))
-    base = det_oracle(build_matrix(SequenceRule("unit", m), n))
-    return sign * base
+    blocks = nimble_blocks(n, m)
+    return 0 if blocks is None else blocks_sign(blocks)
 
 
 def d_shift_generic(n: int, m: int) -> LaurentPoly:
-    """Symbolic shifted determinant: single signed monomial, or zero.
-
-    Same reduction as ``d_shift_int`` but each step contributes the factor
-    x_{2^k-1}^L of the reversed block; base cases go to the symbolic
-    cofactor oracle.
+    """Symbolic shifted determinant, m >= 2: the product of the
+    (-1)^C(L,2) x_{2^k-1}^L over the ``nimble_blocks`` of (n, m), or zero
+    when some row has no admissible image.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if m < 2:
         raise ValueError("use generic_d / generic_D for m < 2")
-    bound = _shift_base_bound(m)
-    acc = LaurentPoly.one()
-    while n >= bound:
-        step = _shift_reduction(n, m)
-        if step is None:
-            return LaurentPoly.zero()
-        length, k, n = step
-        acc = acc * LaurentPoly.monomial(_pm(_binom2_parity(length)), {k: length})
-    base = det_oracle(build_matrix(SequenceRule("generic", m), n))
-    return acc * base
+    return _blocks_monomial(nimble_blocks(n, m))
 
 
 def shift_support(n: int, m: int) -> bool:
@@ -297,8 +295,9 @@ def generic_d(n: int, method: str = "profile") -> LaurentPoly:
     """Symbolic d(n): a single signed monomial (1 at n = 0).
 
     profile: sign and exponents straight from the lambda table.
-    recurrence: peel d(n) = (-1)^C(b,2) x_{2^k-1}^b d(n - b) with
-    k = ceil(log2 n) and b = 2n - 2^k.
+    recurrence: the fold over ``nimble_blocks(n, 0)``, which peels
+    d(n) = (-1)^C(b,2) x_{2^k-1}^b d(n - b) with k = ceil(log2 n) and
+    b = 2n - 2^k.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -307,21 +306,15 @@ def generic_d(n: int, method: str = "profile") -> LaurentPoly:
         return LaurentPoly.monomial(prof.sign(), prof.entries)
     if method != "recurrence":
         raise ValueError(f"unknown method {method!r}")
-    parity = 0
-    exps: dict[int, int] = {}
-    while n:
-        k = (n - 1).bit_length()  # alpha(n) = 2^k - 1
-        b = 2 * n - (1 << k)
-        parity ^= _binom2_parity(b)
-        exps[k] = exps.get(k, 0) + b
-        n -= b
-    return LaurentPoly.monomial(_pm(parity), exps)
+    return _blocks_monomial(nimble_blocks(n, 0))
 
 
 def generic_D(n: int, method: str = "profile") -> LaurentPoly:
     """Symbolic D(n) as a signed monomial in x_{2^k-1}, k >= 1.
 
-    The recurrence peels D(n) = (-1)^C(L,2) x_{gamma}^L D(gamma - n) with
+    profile: sign and exponents straight from the mu table.
+    recurrence: the fold over ``nimble_blocks(n, 1)``, which peels
+    D(n) = (-1)^C(L,2) x_{gamma}^L D(gamma - n) with
     gamma = 2^ceil(log2(n+1)) - 1 and L = 2n - gamma; the reversal-length
     sign (not (-1)^n, which already fails at n = 1) keeps D(1) = x1.
     """
@@ -332,16 +325,7 @@ def generic_D(n: int, method: str = "profile") -> LaurentPoly:
         return LaurentPoly.monomial(prof.sign(), prof.entries)
     if method != "recurrence":
         raise ValueError(f"unknown method {method!r}")
-    parity = 0
-    exps: dict[int, int] = {}
-    while n:
-        k = n.bit_length()  # gamma(n) = 2^k - 1
-        gamma = (1 << k) - 1
-        length = 2 * n - gamma
-        parity ^= _binom2_parity(length)
-        exps[k] = exps.get(k, 0) + length
-        n = gamma - n
-    return LaurentPoly.monomial(_pm(parity), exps)
+    return _blocks_monomial(nimble_blocks(n, 1))
 
 
 def generic_T(n: int) -> LaurentPoly:

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .closedform import T_int, blocks_sign, nimble_blocks
 from .exactring import XVAR, LaurentPoly, UniPoly
 from .seq import bit_a, paperfolding_s, sign_s, sign_v
 
@@ -241,34 +242,25 @@ class SignedPermutation:
         return len(self.images)
 
 
-def _binom2_parity(x: int) -> int:
-    """C(x, 2) mod 2."""
-    return 1 if x % 4 in (2, 3) else 0
-
-
 def nimble_solve(n: int, m: int = 0) -> SignedPermutation | None:
     """The unique permutation with i + pi(i) + m + 1 a power of two, if any.
 
-    Built by the descending interval-reversal construction: the largest
-    admissible power of two forces an order-reversing block at the top,
-    then the prefix is handled the same way.  None when some row has no
-    admissible image.
+    Filled in from the descending interval-reversal blocks of
+    ``closedform.nimble_blocks``: the largest admissible power of two forces
+    an order-reversing block at the top, then the prefix is handled the same
+    way.  None when some row has no admissible image.
     """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
+    blocks = nimble_blocks(n, m)
+    if blocks is None:
+        return None
     images = [0] * n
-    sign_exp = 0
     hi = n
-    while hi > 0:
-        p = 1 << (hi + m - 1).bit_length()  # smallest power of two >= hi + m
-        if p > 2 * hi + m - 1:
-            return None
-        lo = p - m - hi
+    for k, length in blocks:
+        lo = hi - length
         for i in range(lo, hi):
-            images[i] = p - 1 - m - i
-        sign_exp ^= _binom2_parity(hi - lo)
+            images[i] = (1 << k) - 1 - m - i
         hi = lo
-    return SignedPermutation(tuple(images), -1 if sign_exp else 1)
+    return SignedPermutation(tuple(images), blocks_sign(blocks))
 
 
 def nimble_enumerate(n: int, m: int = 0) -> list[SignedPermutation]:
@@ -362,8 +354,6 @@ def orthopoly(n: int, t_values=None) -> UniPoly:
     if n < 0:
         raise ValueError("index must be nonnegative")
     if t_values is None:
-        from .closedform import T_int
-
         t_values = [T_int(k) for k in range(max(0, n - 1))]
     elif len(t_values) < n - 1:
         raise ValueError(f"p_{n} needs {n - 1} leading coefficients, got {len(t_values)}")

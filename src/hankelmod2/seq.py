@@ -101,13 +101,20 @@ def grs_r(n: int) -> int:
 
 
 def ones_total(n: int) -> int:
-    """Total number of 1 digits in the binary expansions of 0, 1, ..., n-1."""
+    """Total number of 1 digits in the binary expansions of 0, 1, ..., n-1.
+
+    A set bit k of n with j set bits above it covers the 2^k numbers that
+    share those j bits and run through every k-bit tail: k 2^(k-1) + j 2^k.
+    """
     _check_nonneg(n)
     total = 0
-    for k in range(n.bit_length()):
-        block = 1 << (k + 1)
-        half = 1 << k
-        total += (n // block) * half + max(0, (n % block) - half)
+    above = 0
+    k = n.bit_length()
+    for digit in bin(n)[2:]:
+        k -= 1
+        if digit == "1":
+            total += (k << k >> 1) + (above << k)
+            above += 1
     return total
 
 

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from hankelmod2 import closedform
 from hankelmod2.cli import main
 from hankelmod2.exactring import LaurentPoly
 
@@ -83,6 +84,16 @@ def test_table_usage_errors(capsys):
     assert run_cli(capsys, "table", "--seq", "s", "--m", "2", "--from", "0", "--to", "3")[0] == 2
     assert run_cli(capsys, "table", "--seq", "d", "--from", "4", "--to", "2")[0] == 2
     assert run_cli(capsys, "table", "--seq", "lambda", "--rule", "unit", "--from", "0", "--to", "3")[0] == 2
+    assert run_cli(capsys, "table", "--seq", "d", "--m", "-1", "--from", "0", "--to", "3")[0] == 2
+
+
+def test_internal_error_is_not_a_usage_error(monkeypatch):
+    def broken(n, m):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(closedform, "d_shift_int", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["table", "--seq", "d", "--m", "3", "--from", "0", "--to", "3"])
 
 
 def test_verify_suites_exit_zero(capsys):
@@ -106,6 +117,7 @@ def test_verify_all_gate(capsys):
 
 def test_verify_degenerate_bound(capsys):
     assert run_cli(capsys, "verify", "--suite", "all", "--max-n", "0")[0] == 2
+    assert run_cli(capsys, "verify", "--suite", "conjecture", "--m", "1")[0] == 2
 
 
 def test_bench_closed_and_guards(capsys):
@@ -120,6 +132,9 @@ def test_bench_closed_and_guards(capsys):
     assert run_cli(capsys, "bench", "--n", "4096", "--engine", "bareiss")[0] == 2
     assert run_cli(capsys, "bench", "--n", "8", "--engine", "bareiss",
                    "--rule", "generic")[0] == 2
+    assert run_cli(capsys, "bench", "--n", "8", "--engine", "closed", "--m", "-1")[0] == 2
+    assert run_cli(capsys, "bench", "--n", "8", "--engine", "bareiss",
+                   "--rule", "grs", "--m", "0")[0] == 2
 
 
 def test_bench_bareiss_matches_closed(capsys):
@@ -137,6 +152,12 @@ def test_det_show(capsys):
     assert lines[-1] == "det = 1"
     code, out, _ = run_cli(capsys, "det", "--n", "5", "--rule", "generic", "--m", "0")
     assert code == 0 and out.strip() == "det = x0*x3^2*x7^2"
+
+
+def test_det_usage_errors(capsys):
+    assert run_cli(capsys, "det", "--n", "-1")[0] == 2
+    assert run_cli(capsys, "det", "--n", "3", "--rule", "grs", "--m", "0")[0] == 2
+    assert run_cli(capsys, "det", "--n", "3", "--rule", "generic", "--engine", "bareiss")[0] == 2
 
 
 def test_bad_flags_exit_two():

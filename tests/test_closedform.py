@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hankelmod2.closedform import (
@@ -6,6 +8,7 @@ from hankelmod2.closedform import (
     D_sign,
     T_METHODS,
     T_int,
+    blocks_sign,
     conjecture38_scan,
     d_shift_generic,
     d_shift_int,
@@ -17,6 +20,7 @@ from hankelmod2.closedform import (
     generic_t,
     lambda_profile,
     mu_profile,
+    nimble_blocks,
     ratio_h,
     shift_support,
     specialize_det,
@@ -168,8 +172,17 @@ def test_generic_d_printed_values():
         assert generic_d(1 << k) == LaurentPoly.monomial(1, {k: 1 << k})
 
 
+def _huge_inputs(seed):
+    """Sixteen seeded n of 1000 to 4000 bits."""
+    rng = random.Random(seed)
+    return [rng.getrandbits(bits) | (1 << (bits - 1))
+            for bits in (rng.randint(1000, 4000) for _ in range(16))]
+
+
 def test_generic_d_methods_agree():
     for n in range(4097):
+        assert generic_d(n) == generic_d(n, "recurrence"), n
+    for n in _huge_inputs(11):
         assert generic_d(n) == generic_d(n, "recurrence"), n
 
 
@@ -182,6 +195,8 @@ def test_generic_D_printed_values():
 
 def test_generic_D_methods_agree():
     for n in range(4097):
+        assert generic_D(n) == generic_D(n, "recurrence"), n
+    for n in _huge_inputs(12):
         assert generic_D(n) == generic_D(n, "recurrence"), n
 
 
@@ -282,6 +297,20 @@ def test_d_shift_int_delegates_small_shifts():
     for n in range(200):
         assert d_shift_int(n, 0) == d_sign(n)
         assert d_shift_int(n, 1) == D_sign(n)
+    # the closed signs it delegates to agree with the interval-reversal blocks
+    for n in range(4096):
+        assert d_sign(n) == blocks_sign(nimble_blocks(n, 0)), n
+        assert D_sign(n) == blocks_sign(nimble_blocks(n, 1)), n
+
+
+def test_nimble_blocks_edge_cases():
+    for m in range(10):
+        assert nimble_blocks(0, m) == []
+    assert nimble_blocks(6, 3) is None
+    assert nimble_blocks(5, 0) == [(3, 2), (2, 2), (0, 1)]
+    for n, m in ((-1, 0), (0, -1), (-3, 2)):
+        with pytest.raises(ValueError):
+            nimble_blocks(n, m)
 
 
 def test_d_shift_generic_printed_lists():
@@ -307,13 +336,15 @@ def test_d_shift_against_oracle():
         for n in range(0, 33):
             mat_int = build_matrix(SequenceRule("unit", m), n)
             assert det_oracle(mat_int) == d_shift_int(n, m), (n, m)
+    for m in range(2, 65):
+        for n in range(0, 49):
             mat_sym = build_matrix(SequenceRule("generic", m), n)
             assert det_oracle(mat_sym) == d_shift_generic(n, m), (n, m)
 
 
 def test_d_shift_against_oracle_wide_shifts():
-    for m in range(9, 17):
-        for n in range(0, 41):
+    for m in range(9, 65):
+        for n in range(0, 97):
             mat = build_matrix(SequenceRule("unit", m), n)
             assert det_oracle(mat) == d_shift_int(n, m), (n, m)
 
