@@ -220,21 +220,12 @@ def _suite_ldlt(max_n: int, max_m: int, rng) -> list[str]:
 
 def _suite_cf(max_n: int, max_m: int, rng) -> list[str]:
     bad = []
-    order = min(max_n, 128)
+    order = min(max_n, contfrac.MAX_ORDER)
     for which in contfrac.IDENTITIES:
-        if not contfrac.verify_identity(which, order):
+        spec, want = contfrac.identity_spec(which, order)
+        got = contfrac.cf_expand(spec, order)
+        if got != want:
             # render both sides as exact rational coefficient lists
-            if which == "eq217":
-                spec = contfrac.CFSpec.s_fraction([cf.T_int(k) for k in range(order)])
-            elif which == "eq228":
-                pairs = [cf.favard_st(k) for k in range((order + 1) // 2)]
-                spec = contfrac.CFSpec.j_fraction([s for s, _ in pairs], [t for _, t in pairs])
-            else:
-                spec = contfrac.CFSpec.s_fraction(
-                    [-seqmod.grs_r(k) * seqmod.grs_r(k + 2) for k in range(order)]
-                )
-            got = contfrac.cf_expand(spec, order)
-            want = contfrac.target_series(order, alternating=which == "eq08")
             bad.append(f"{which} at order {order}: got {got}, want {want}")
     # depth sufficiency on random +-1 coefficient sequences
     for trial in range(8):

@@ -2,9 +2,12 @@
 
 S-fractions carry one linear coefficient per level,
 1/(1 - c0 z/(1 - c1 z/(1 - ...))); J-fractions carry a linear and a
-quadratic one, 1/(1 - s0 z - t0 z^2/(1 - s1 z - ...)).  Expansion is
-bottom-up with the tail set to 1, which cannot disturb coefficients below
-the guaranteed order.
+quadratic one, 1/(1 - s0 z - t0 z^2/(1 - s1 z - ...)).  Expansion follows
+Flajolet's combinatorics of continued fractions: the coefficient of z^n of a
+J-fraction is a weighted count of Motzkin paths of length n, and an
+S-fraction is first turned into a J-fraction by even contraction.  Integer
+coefficients stay plain ints throughout; rational ones run through the same
+path sum.
 """
 
 from __future__ import annotations
@@ -58,22 +61,43 @@ class CFSpec:
         return order if self.shape == "s" else (order + 1) // 2
 
 
+def _exact(c: Fraction) -> Fraction | int:
+    return c.numerator if c.denominator == 1 else c
+
+
 def cf_expand(spec: CFSpec, order: int) -> TruncatedSeries:
-    """Expand the fraction to a series mod z**order."""
+    """Expand the fraction to a series mod z**order.
+
+    The coefficient of z^n is the weighted count of Motzkin paths of length n
+    from height 0 back to 0: an up step has weight 1, a level step at height
+    h has weight s_h and a down step from h+1 to h has weight t_h.  The
+    count runs as one sweep over the heights a path can still return from,
+    so it costs O(order^2) ring operations and inverts nothing.  An
+    S-fraction is contracted first: s_0 = c_0, s_h = c_{2h-1} + c_{2h} and
+    t_h = c_{2h} c_{2h+1}, with c_order taken as 0 (no path of length below
+    order reaches that t).
+    """
     need = spec.required_depth(order)
     if spec.depth < need:
         raise InsufficientDepthError(
             f"depth {spec.depth} cannot guarantee order {order} (need {need})"
         )
-    one = TruncatedSeries.one(order)
-    g = one
     if spec.shape == "s":
-        for c in reversed(spec.linear[:need]):
-            g = (one - g.scale(c).shift(1)).inverse()
-        return g
-    for s, t in reversed(list(zip(spec.linear[:need], spec.quadratic[:need]))):
-        g = (one - TruncatedSeries([0, s], order) - g.scale(t).shift(2)).inverse()
-    return g
+        c = [_exact(x) for x in spec.linear[:need]] + [0]
+        levels = (need + 1) // 2
+        s = [c[0]] + [c[2 * h - 1] + c[2 * h] for h in range(1, levels)]
+        t = [c[2 * h] * c[2 * h + 1] for h in range(levels)]
+    else:
+        s = [_exact(x) for x in spec.linear[:need]]
+        t = [_exact(x) for x in spec.quadratic[:need]]
+    coeffs = []
+    w = [1]  # w[h]: weighted count of path prefixes ending at height h
+    for step in range(order):
+        coeffs.append(w[0])
+        top = min(step + 1, order - 2 - step)
+        p = [0, *w, 0, 0]  # p[h], p[h+1], p[h+2]: from below, level, from above
+        w = [p[h] + s[h] * p[h + 1] + t[h] * p[h + 2] for h in range(top + 1)]
+    return TruncatedSeries(coeffs, order)
 
 
 def target_series(order: int, alternating: bool = False) -> TruncatedSeries:
@@ -89,26 +113,32 @@ def target_series(order: int, alternating: bool = False) -> TruncatedSeries:
 
 
 IDENTITIES = ("eq217", "eq228", "eq08")
+MAX_ORDER = 1024  # largest order the identity checks accept
 
 
-def verify_identity(which: str, order: int) -> bool:
-    """Coefficientwise check of one of the three fraction identities.
+def identity_spec(which: str, order: int) -> tuple[CFSpec, TruncatedSeries]:
+    """The fraction and the target series of one of the three identities.
 
     eq217: S-fraction with c_n = T_n equals sum_k z^(2^k-1).
     eq228: J-fraction with the Favard (s_n, t_n) equals the same series.
     eq08:  S-fraction with c_n = -r(n) r(n+2) (the 1/(1 + ...) arrangement
            rewritten with negated coefficients) equals the alternating sum.
     """
-    if order > 128:
-        raise ValueError("identity checks are guarded to order <= 128")
     if which == "eq217":
         spec = CFSpec.s_fraction([T_int(k) for k in range(order)])
-        return cf_expand(spec, order) == target_series(order)
-    if which == "eq228":
+    elif which == "eq228":
         pairs = [favard_st(k) for k in range((order + 1) // 2)]
         spec = CFSpec.j_fraction([s for s, _ in pairs], [t for _, t in pairs])
-        return cf_expand(spec, order) == target_series(order)
-    if which == "eq08":
+    elif which == "eq08":
         spec = CFSpec.s_fraction([-grs_r(k) * grs_r(k + 2) for k in range(order)])
-        return cf_expand(spec, order) == target_series(order, alternating=True)
-    raise ValueError(f"unknown identity {which!r}")
+    else:
+        raise ValueError(f"unknown identity {which!r}")
+    return spec, target_series(order, alternating=which == "eq08")
+
+
+def verify_identity(which: str, order: int) -> bool:
+    """Coefficientwise check of one of the three fraction identities."""
+    if order > MAX_ORDER:
+        raise ValueError(f"identity checks are guarded to order <= {MAX_ORDER}")
+    spec, want = identity_spec(which, order)
+    return cf_expand(spec, order) == want

@@ -7,7 +7,9 @@
 * ``UniPoly`` -- dense univariate integer polynomials (orthogonal
   polynomial recurrences).
 * ``TruncatedSeries`` -- power series in z over ``fractions.Fraction``,
-  truncated at a stated order (continued-fraction expansion).
+  truncated at a stated order (the result type of continued-fraction
+  expansion; its ring operations are the reference that expansion is
+  tested against).
 
 No floats anywhere.
 """
@@ -358,16 +360,6 @@ class LaurentPoly:
         return poly
 
 
-def poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Ring product in canonical form."""
-    return p * q
-
-
-def poly_eval(p: LaurentPoly, assignment: Mapping[int, Fraction | int]) -> Fraction:
-    """Exact substitution value of p under the assignment."""
-    return p.eval(assignment)
-
-
 class UniPoly:
     """Dense univariate integer polynomial, constant coefficient first."""
 
@@ -526,7 +518,3 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries({self}, order={self.order})"
 
-
-def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """t with s*t = 1 mod z**order."""
-    return s.inverse()

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from hankelmod2 import closedform
+from hankelmod2 import closedform, contfrac
 from hankelmod2.cli import main
 from hankelmod2.exactring import LaurentPoly
 
@@ -105,6 +105,21 @@ def test_verify_suites_exit_zero(capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "verify", "--suite", "conjecture", "--m", "4", "--max-n", "16")
     assert code == 0 and "conjecture-scan m=4" in out and "conforms" in out
+
+
+def test_verify_cf_renders_a_failed_identity(capsys, monkeypatch):
+    real = contfrac.identity_spec
+
+    def wrong_target(which, order):
+        spec, want = real(which, order)
+        return spec, contfrac.target_series(order, alternating=which != "eq08")
+
+    monkeypatch.setattr(contfrac, "identity_spec", wrong_target)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cf", "--max-n", "4")
+    assert code == 1
+    assert "FAIL cf (3 checks):" in out
+    assert "eq217 at order 4: got [1, 1, 0, 1], want [1, -1, 0, 1]" in out
+    assert "eq08 at order 4: got [1, -1, 0, 1], want [1, 1, 0, 1]" in out
 
 
 def test_verify_all_gate(capsys):

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelmod2.closedform import T_int, favard_st
 from hankelmod2.contfrac import (
     CFSpec,
     IDENTITIES,
+    MAX_ORDER,
     InsufficientDepthError,
     cf_expand,
     target_series,
@@ -23,6 +26,47 @@ def catalan_prefix(n):
     for k in range(n - 1):
         c.append(sum(c[i] * c[k - i] for i in range(k + 1)))
     return c
+
+
+def reference_expand(spec, order):
+    # independent reference: bottom-up over every level the spec has, tail
+    # set to 1, one series inversion per level
+    one = TruncatedSeries.one(order)
+    g = one
+    if spec.shape == "s":
+        for c in reversed(spec.linear):
+            g = (one - g.scale(c).shift(1)).inverse()
+        return g
+    for s, t in reversed(list(zip(spec.linear, spec.quadratic))):
+        g = (one - TruncatedSeries([0, s], order) - g.scale(t).shift(2)).inverse()
+    return g
+
+
+coefficients = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def fractions_with_order(draw):
+    order = draw(st.integers(min_value=1, max_value=24))
+    shape = draw(st.sampled_from("sj"))
+    # required depth (order levels for s, ceil(order/2) for j) plus extra
+    depth = (order if shape == "s" else (order + 1) // 2) + draw(st.integers(0, 3))
+    linear = draw(st.lists(coefficients, min_size=depth, max_size=depth))
+    if shape == "s":
+        return CFSpec.s_fraction(linear), order
+    quadratic = draw(st.lists(coefficients, min_size=depth, max_size=depth))
+    return CFSpec.j_fraction(linear, quadratic), order
+
+
+@given(fractions_with_order())
+@settings(max_examples=120, deadline=None)
+def test_path_sum_matches_inversion_reference(case):
+    spec, order = case
+    assert cf_expand(spec, order) == reference_expand(spec, order)
 
 
 def test_catalan_expansion():
@@ -57,9 +101,14 @@ def test_verify_identities_at_64():
     assert set(IDENTITIES) == {"eq217", "eq228", "eq08"}
 
 
+def test_verify_identities_at_max_order():
+    for which in IDENTITIES:
+        assert verify_identity(which, MAX_ORDER), which
+
+
 def test_verify_identity_guards():
     with pytest.raises(ValueError):
-        verify_identity("eq217", 200)
+        verify_identity("eq217", MAX_ORDER + 1)
     with pytest.raises(ValueError):
         verify_identity("nope", 16)
 
