@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import closedform as cf
 from . import contfrac
@@ -29,110 +30,119 @@ from .hankel import (
     moment_orthogonality,
 )
 
-SEQ_CHOICES = ("d", "D", "T", "t", "s", "lambda", "mu", "S", "r", "b", "delta")
-RULE_CHOICES = ("unit", "generic", "powers", "doubling", "grs")
+# largest n each determinant engine takes, in `bench` and `det` alike
+GUARDS = {"closed": 10**9, "bareiss": 2048, "cofactor": 32}
 
 
 class UsageError(Exception):
     pass
 
 
-def _check_shift(rule: str, m: int) -> None:
-    """Reject a shift that no determinant rule accepts, before any work."""
+class Evaluator(NamedTuple):
+    """One registry entry: the table's method label and the exact value."""
+
+    methods: tuple[str, ...]  # label at shift m is methods[min(m, len - 1)]
+    value: Callable[[int, int], object]  # (n, m) -> exact value
+    min_m: int = 0
+    min_n: int = 0
+
+    def method(self, m: int) -> str:
+        return self.methods[min(m, len(self.methods) - 1)]
+
+
+def _generic_det(n: int, m: int):
+    if m == 0:
+        return cf.generic_d(n)
+    if m == 1:
+        return cf.generic_D(n)
+    return cf.d_shift_generic(n, m)
+
+
+def _specialized(rule: str, generic: Callable[[int, int], object]) -> Callable[[int, int], object]:
+    """Substitution is a ring homomorphism: a rule's value is the generic
+    monomial with the rule's values substituted in."""
+    return lambda n, m: cf.specialize_poly(generic(n, m), rule)
+
+
+def _generic_T(n: int, m: int):
+    return cf.generic_T(n)
+
+
+def _generic_t(n: int, m: int):
+    return cf.generic_t(n)
+
+
+# d(n, m) per rule; --seq d takes any shift, --seq D is the shift-1 table.
+DETERMINANTS = {
+    "unit": Evaluator(("closed",), lambda n, m: cf.d_shift_int(n, m)),
+    "generic": Evaluator(("profile", "profile", "reduction"), _generic_det),
+    "powers": Evaluator(("specialize",), _specialized("powers", _generic_det)),
+    "doubling": Evaluator(("specialize",), _specialized("doubling", _generic_det)),
+    # the grs rule assigns no value to x0, which only the shift-0 matrix has
+    "grs": Evaluator(("specialize",), _specialized("grs", _generic_det), min_m=1),
+}
+RULE_CHOICES = tuple(DETERMINANTS)
+
+# Every (--seq, --rule) pair `table` accepts; the first rule of a sequence
+# is its default.
+REGISTRY: dict[tuple[str, str], Evaluator] = {
+    **{(seq, rule): e for seq in ("d", "D") for rule, e in DETERMINANTS.items()},
+    ("T", "unit"): Evaluator(("ratio",), lambda n, m: cf.T_int(n)),
+    ("T", "generic"): Evaluator(("ratio",), _generic_T),
+    **{("T", r): Evaluator(("specialize",), _specialized(r, _generic_T))
+       for r in cf.SPECIAL_KINDS},
+    ("t", "unit"): Evaluator(("favard",), lambda n, m: cf.favard_st(n)[1]),
+    ("t", "generic"): Evaluator(("ratio",), _generic_t),
+    # t_n is a ratio of unshifted determinants, so it carries x0: no grs entry
+    **{("t", r): Evaluator(("specialize",), _specialized(r, _generic_t))
+       for r in ("powers", "doubling")},
+    ("s", "unit"): Evaluator(("favard",), lambda n, m: cf.favard_st(n)[0]),
+    ("lambda", "generic"): Evaluator(("profile",), lambda n, m: cf.lambda_profile(n).monomial()),
+    ("mu", "generic"): Evaluator(("profile",), lambda n, m: cf.mu_profile(n).monomial()),
+    ("S", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.paperfolding_s(n)),
+    ("r", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.grs_r(n)),
+    ("b", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.nonsquash_b(n), min_n=2),
+    ("delta", "unit"): Evaluator(("digits",), lambda n, m: seqmod.delta_pairs(n)),
+}
+SEQ_RULES = {seq: [r for s, r in REGISTRY if s == seq] for seq, _ in REGISTRY}
+
+
+def _resolve(seq: str, rule: str, m: int) -> Evaluator:
+    """The registry entry for (seq, rule) at shift m, checked before any work."""
+    entry = REGISTRY.get((seq, rule))
+    if entry is None:
+        raise UsageError(f"--seq {seq} takes --rule {'/'.join(SEQ_RULES[seq])}")
     if m < 0:
         raise UsageError("--m must be nonnegative")
-    if rule == "grs" and m < 1:
-        raise UsageError("the grs rule assigns no value to x0; it needs --m >= 1")
-
-
-def _default_rule(seq: str) -> str:
-    return "generic" if seq in ("lambda", "mu") else "unit"
-
-
-def _table_record(seq: str, rule: str, m: int, n: int) -> tuple[int, str, str]:
-    """(shift, method, value string) for one table cell."""
-    if seq == "d" or seq == "D":
-        shift = 1 if seq == "D" else m
-        if rule == "unit":
-            return shift, "closed", str(cf.d_shift_int(n, shift))
-        if rule == "generic":
-            if shift == 0:
-                return shift, "profile", str(cf.generic_d(n))
-            if shift == 1:
-                return shift, "profile", str(cf.generic_D(n))
-            return shift, "reduction", str(cf.d_shift_generic(n, shift))
-        if rule in ("powers", "doubling"):
-            if shift not in (0, 1):
-                raise UsageError(f"rule {rule} supports shifts 0 and 1 only")
-            return shift, "specialize", str(cf.specialize_det(rule, shift == 1, n))
-        if rule == "grs":
-            if shift != 1:
-                raise UsageError("the grs rule assigns no value to x0; use --seq D")
-            return shift, "specialize", str(cf.specialize_det("grs", True, n))
-    if seq == "T":
-        if rule == "unit":
-            return 0, "ratio", str(cf.T_int(n))
-        if rule == "generic":
-            return 0, "ratio", str(cf.generic_T(n))
-        if rule == "grs":
-            return 0, "specialize", str(cf.specialize_poly(cf.generic_T(n), "grs").constant_value())
-        return 0, "specialize", str(cf.specialize_poly(cf.generic_T(n), rule))
-    if seq == "t":
-        if rule == "unit":
-            return 0, "favard", str(cf.favard_st(n)[1])
-        if rule == "generic":
-            return 0, "ratio", str(cf.generic_t(n))
-        if rule == "grs":
-            raise UsageError("the grs rule assigns no value to x0")
-        return 0, "specialize", str(cf.specialize_poly(cf.generic_t(n), rule))
-    if seq == "s":
-        if rule != "unit":
-            raise UsageError("--seq s is integer-valued; use --rule unit")
-        return 0, "favard", str(cf.favard_st(n)[0])
-    if seq == "lambda" or seq == "mu":
-        if rule != "generic":
-            raise UsageError(f"--seq {seq} describes the generic exponents; use --rule generic")
-        prof = cf.lambda_profile(n) if seq == "lambda" else cf.mu_profile(n)
-        return 0, "profile", str(prof.monomial())
-    if rule != "unit":
-        raise UsageError(f"--seq {seq} takes --rule unit only")
-    if seq == "S":
-        return 0, "recurrence", str(seqmod.paperfolding_s(n))
-    if seq == "r":
-        return 0, "recurrence", str(seqmod.grs_r(n))
-    if seq == "b":
-        return 0, "recurrence", str(seqmod.nonsquash_b(n))
-    if seq == "delta":
-        return 0, "digits", str(seqmod.delta_pairs(n))
-    raise UsageError(f"unknown sequence {seq!r}")
+    if m < entry.min_m:
+        raise UsageError(f"the {rule} rule assigns no value to x0; it needs --m >= {entry.min_m}")
+    return entry
 
 
 def cmd_table(ns) -> int:
-    rule = ns.rule or _default_rule(ns.seq)
-    if ns.seq not in ("d", "D") and ns.m is not None:
-        raise UsageError(f"--m does not apply to --seq {ns.seq}")
-    if ns.seq == "D" and ns.m not in (None, 1):
-        raise UsageError("--seq D is the shift-1 table; drop --m or use --seq d")
-    m = ns.m if ns.m is not None else (1 if ns.seq == "D" else 0)
-    if ns.seq in ("d", "D"):
-        _check_shift(rule, m)
-    if ns.frm < 0 or ns.to < ns.frm:
-        raise UsageError("need 0 <= --from <= --to")
-    if ns.seq == "b" and ns.frm < 2:
-        raise UsageError("--seq b is defined for n >= 2")
-    records = []
-    for n in range(ns.frm, ns.to + 1):
-        shift, method, value = _table_record(ns.seq, rule, m, n)
-        records.append(
-            {"n": n, "m": shift, "rule": rule, "method": method, "value": value}
-        )
+    if ns.m is not None and ns.seq != "d" and (ns.seq, ns.m) != ("D", 1):
+        raise UsageError(f"--m does not apply to --seq {ns.seq}; --seq D is the shift-1 table")
+    m = 1 if ns.seq == "D" else ns.m or 0
+    rule = ns.rule or SEQ_RULES[ns.seq][0]
+    entry = _resolve(ns.seq, rule, m)
+    if ns.frm < entry.min_n or ns.to < ns.frm:
+        raise UsageError(f"need {entry.min_n} <= --from <= --to for --seq {ns.seq}")
+    method = entry.method(m)
+    records = (
+        {"n": n, "m": m, "rule": rule, "method": method, "value": str(entry.value(n, m))}
+        for n in range(ns.frm, ns.to + 1)
+    )
+    out = sys.stdout
     if ns.format == "json":
-        json.dump(records, sys.stdout)
-        sys.stdout.write("\n")
+        out.write("[")
+        for i, rec in enumerate(records):
+            out.write(", " + json.dumps(rec) if i else json.dumps(rec))
+        out.write("]\n")
     else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=["n", "m", "rule", "method", "value"])
+        writer = csv.DictWriter(out, fieldnames=["n", "m", "rule", "method", "value"])
         writer.writeheader()
-        writer.writerows(records)
+        for rec in records:
+            writer.writerow(rec)
     return 0
 
 
@@ -141,135 +151,101 @@ def cmd_table(ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_oracle(max_n: int, max_m: int, rng) -> list[str]:
-    bad = []
-    for n in range(min(max_n, 512) + 1):
-        if det_oracle(build_matrix(SequenceRule("unit", 0), n)) != cf.d_sign(n):
-            bad.append(f"(n={n}, m=0) bareiss != d_sign")
-        if det_oracle(build_matrix(SequenceRule("unit", 1), n)) != cf.D_sign(n):
-            bad.append(f"(n={n}, m=1) bareiss != D_sign")
+# A suite yields one (label, got, want) triple per check.
+
+
+def _oracle_cap(sr: SequenceRule) -> int:
+    """Largest n the oracle suite checks: the cofactor oracle and shifts
+    >= 2 cost more than Bareiss at shifts 0 and 1."""
+    return 48 if sr.shift >= 2 else 32 if sr.symbolic else 512
+
+
+def _suite_oracle(max_n: int, max_m: int, rng):
+    for rule, entry in DETERMINANTS.items():
+        for m in range(entry.min_m, max_m + 1):
+            sr = SequenceRule(rule, m)
+            for n in range(min(max_n, _oracle_cap(sr)) + 1):
+                label = f"(n={n}, m={m}) {rule} {entry.method(m)} against the oracle"
+                yield label, entry.value(n, m), det_oracle(build_matrix(sr, n))
     for n in range(min(max_n, 64) + 1):
         mat = build_matrix(SequenceRule("unit", 0), n)
-        if det_oracle(mat, "bareiss") != det_oracle(mat, "cofactor"):
-            bad.append(f"(n={n}) bareiss != cofactor on integers")
-    for n in range(min(max_n, 32) + 1):
-        if det_oracle(build_matrix(SequenceRule("generic", 0), n)) != cf.generic_d(n):
-            bad.append(f"(n={n}, m=0) symbolic oracle != generic_d")
-        if det_oracle(build_matrix(SequenceRule("generic", 1), n)) != cf.generic_D(n):
-            bad.append(f"(n={n}, m=1) symbolic oracle != generic_D")
-    for m in range(2, max_m + 1):
-        for n in range(min(max_n, 48) + 1):
-            if det_oracle(build_matrix(SequenceRule("generic", m), n)) != cf.d_shift_generic(n, m):
-                bad.append(f"(n={n}, m={m}) symbolic oracle != d_shift_generic")
-            if det_oracle(build_matrix(SequenceRule("unit", m), n)) != cf.d_shift_int(n, m):
-                bad.append(f"(n={n}, m={m}) integer oracle != d_shift_int")
-    return bad
+        yield f"(n={n}) bareiss against cofactor", det_oracle(mat, "bareiss"), det_oracle(mat, "cofactor")
 
 
-def _suite_methods(max_n: int, max_m: int, rng) -> list[str]:
-    bad = []
+def _suite_methods(max_n: int, max_m: int, rng):
     product = 1
     for n in range(max_n + 1):
         d = cf.D_sign(n, "delta")
-        if d != cf.D_sign(n, "recurrence"):
-            bad.append(f"(n={n}) D recurrence, expected {d}")
-        if d != product:  # running prod_{j<n} S(j)
-            bad.append(f"(n={n}) D paperfolding-product, expected {d}, got {product}")
+        yield f"(n={n}) D recurrence", cf.D_sign(n, "recurrence"), d
+        yield f"(n={n}) D paperfolding-product", product, d  # running prod_{j<n} S(j)
         product *= seqmod.paperfolding_s(n)
         t = cf.T_int(n, "ratio")
         for method in ("recurrence", "structural", "nonsquash"):
-            got = cf.T_int(n, method)
-            if got != t:
-                bad.append(f"(n={n}) T {method}, expected {t}, got {got}")
-    return bad
+            yield f"(n={n}) T {method}", cf.T_int(n, method), t
 
 
-def _suite_reflect(max_n: int, max_m: int, rng) -> list[str]:
-    bad = []
+def _suite_reflect(max_n: int, max_m: int, rng):
     k = 1
     while (1 << (k + 1)) <= max_n:
         for n in range(1 << k):
-            if cf.D_sign((1 << k) + n) != (-1) ** n * cf.D_sign((1 << k) - 1 - n):
-                bad.append(f"(k={k}, n={n}) fold reflection")
+            yield (f"(k={k}, n={n}) fold reflection",
+                   cf.D_sign((1 << k) + n), (-1) ** n * cf.D_sign((1 << k) - 1 - n))
         k += 1
     k = 1
     while (1 << (k + 2)) <= max_n:
         for n in range(1 << (k + 1)):
             expect = -cf.D_sign(n) if n < (1 << k) else cf.D_sign(n)
-            if cf.D_sign((1 << (k + 1)) + n) != expect:
-                bad.append(f"(k={k}, n={n}) period-doubling reflection")
+            yield f"(k={k}, n={n}) period-doubling reflection", cf.D_sign((1 << (k + 1)) + n), expect
         k += 1
     k = 2
     while (1 << (k + 1)) <= max_n:
         for n in range(1 << k, (1 << (k + 1)) - 2):
-            if cf.T_int(n) != cf.T_int((1 << (k + 1)) - 3 - n):
-                bad.append(f"(k={k}, n={n}) T reflection")
+            yield f"(k={k}, n={n}) T reflection", cf.T_int(n), cf.T_int((1 << (k + 1)) - 3 - n)
         k += 1
-    return bad
 
 
-def _suite_ldlt(max_n: int, max_m: int, rng) -> list[str]:
-    bad = []
+def _suite_ldlt(max_n: int, max_m: int, rng):
     for n in range(1, max_n + 1):
-        if not ldlt_verify_plain(n):
-            bad.append(f"(n={n}) plain decomposition")
-        if not ldlt_verify_shifted(n):
-            bad.append(f"(n={n}) shifted decomposition")
-    return bad
+        yield f"(n={n}) plain decomposition", ldlt_verify_plain(n), True
+        yield f"(n={n}) shifted decomposition", ldlt_verify_shifted(n), True
 
 
-def _suite_cf(max_n: int, max_m: int, rng) -> list[str]:
-    bad = []
+def _suite_cf(max_n: int, max_m: int, rng):
     order = min(max_n, contfrac.MAX_ORDER)
     for which in contfrac.IDENTITIES:
         spec, want = contfrac.identity_spec(which, order)
-        got = contfrac.cf_expand(spec, order)
-        if got != want:
-            # render both sides as exact rational coefficient lists
-            bad.append(f"{which} at order {order}: got {got}, want {want}")
+        yield f"{which} at order {order}", contfrac.cf_expand(spec, order), want
     # depth sufficiency on random +-1 coefficient sequences
     for trial in range(8):
         n = 24
         coeffs = [rng.choice((1, -1)) for _ in range(n + 1)]
         lo = contfrac.cf_expand(contfrac.CFSpec.s_fraction(coeffs[:n]), n)
         hi = contfrac.cf_expand(contfrac.CFSpec.s_fraction(coeffs), n)
-        if lo != hi:
-            bad.append(f"depth sufficiency (trial {trial})")
+        yield f"depth sufficiency (trial {trial})", lo, hi
     # Favard t against Hankel determinant ratios of the base sequence
     for n in range(21):
         h = [det_oracle(build_matrix(SequenceRule("unit", 0), k)) for k in (n, n + 1, n + 2)]
-        t = Fraction(h[0] * h[2], h[1] ** 2)
-        if t != cf.favard_st(n)[1]:
-            bad.append(f"(n={n}) H-ratio t = {t} != favard")
-    return bad
+        yield f"(n={n}) H-ratio t against favard", Fraction(h[0] * h[2], h[1] ** 2), cf.favard_st(n)[1]
 
 
-def _suite_orthogonality(max_n: int, max_m: int, rng) -> list[str]:
-    bad = []
+def _suite_orthogonality(max_n: int, max_m: int, rng):
     cap = min(max_n, 20)
     for i in range(cap + 1):
         for j in range(i + 1, cap + 1):
-            if moment_orthogonality(i, j) != 0:
-                bad.append(f"(i={i}, j={j}) nonzero moment")
+            yield f"(i={i}, j={j}) off-diagonal moment", moment_orthogonality(i, j), 0
     for n in range(cap + 1):
         expect = 1
         for k in range(n):
             expect *= cf.T_int(k)
-        if moment_orthogonality(n, n) != expect:
-            bad.append(f"(n={n}) diagonal moment != T-product")
-    return bad
+        yield f"(n={n}) diagonal moment against the T-product", moment_orthogonality(n, n), expect
 
 
-def _suite_parity(max_n: int, max_m: int, rng) -> list[str]:
-    bad = []
+def _suite_parity(max_n: int, max_m: int, rng):
     for m in range(1, max_m + 1):
         for n in range(max_n + 1):
             p = catalan_shift_parity(n, m)
-            if p != (1 if cf.shift_support(n, m) else 0):
-                bad.append(f"(n={n}, m={m}) parity != residue rule")
-            if p != (1 if cf.d_shift_int(n, m) != 0 else 0):
-                bad.append(f"(n={n}, m={m}) parity != d_shift support")
-    return bad
+            yield f"(n={n}, m={m}) parity against the residue rule", p, int(cf.shift_support(n, m))
+            yield f"(n={n}, m={m}) parity against the d_shift support", p, int(cf.d_shift_int(n, m) != 0)
 
 
 CHECK_SUITES = {
@@ -281,6 +257,16 @@ CHECK_SUITES = {
     "orthogonality": _suite_orthogonality,
     "parity": _suite_parity,
 }
+
+
+def run_suite(name: str, max_n: int, max_m: int, rng) -> tuple[int, list[str]]:
+    """(checks run, failure lines) of one suite."""
+    checks, bad = 0, []
+    for label, got, want in CHECK_SUITES[name](max_n, max_m, rng):
+        checks += 1
+        if got != want:
+            bad.append(f"{label}: got {got}, want {want}")
+    return checks, bad
 
 
 def cmd_verify(ns) -> int:
@@ -309,14 +295,16 @@ def cmd_verify(ns) -> int:
                 for v in report.violations:
                     print(f"  {v}")
             continue
-        bad = CHECK_SUITES[name](ns.max_n, ns.max_m, rng)
+        checks, bad = run_suite(name, ns.max_n, ns.max_m, rng)
         if bad:
             failures += len(bad)
-            print(f"FAIL {name} ({len(bad)} checks):")
+            print(f"FAIL {name} ({len(bad)} checks): out of {checks}")
             for line in bad:
                 print(f"  {line}")
+        elif checks:
+            print(f"ok {name} ({checks} checks)")
         else:
-            print(f"ok {name}")
+            print(f"empty {name} (0 checks at --max-n {ns.max_n} --max-m {ns.max_m})")
     return 1 if failures else 0
 
 
@@ -325,24 +313,19 @@ def cmd_verify(ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _closed_value(rule: str, m: int, n: int):
-    if rule == "unit":
-        return cf.d_shift_int(n, m)
-    if rule == "generic":
-        if m == 0:
-            return cf.generic_d(n)
-        if m == 1:
-            return cf.generic_D(n)
-        return cf.d_shift_generic(n, m)
-    if rule in ("powers", "doubling"):
-        if m not in (0, 1):
-            raise UsageError(f"rule {rule} supports shifts 0 and 1 only")
-        return cf.specialize_det(rule, m == 1, n)
-    if rule == "grs":
-        if m != 1:
-            raise UsageError("the grs rule needs --m 1")
-        return seqmod.grs_r(n)
-    raise UsageError(f"unknown rule {rule!r}")
+def _det_request(ns) -> tuple[Evaluator, SequenceRule, str]:
+    """Check a bench or det request against the registry and the guard
+    table before any work: (closed form, matrix rule, engine)."""
+    if ns.n < 0:
+        raise UsageError("--n must be nonnegative")
+    entry = _resolve("d", ns.rule, ns.m)
+    sr = SequenceRule(ns.rule, ns.m)
+    engine = sr.default_engine if ns.engine == "auto" else ns.engine
+    if engine == "bareiss" and sr.symbolic:
+        raise UsageError("bareiss engine needs an integer rule (unit/grs)")
+    if ns.n > GUARDS[engine]:
+        raise UsageError(f"{engine} engine is guarded to n <= {GUARDS[engine]}")
+    return entry, sr, engine
 
 
 def _timed(fn, repeats: int = 3):
@@ -357,43 +340,21 @@ def _timed(fn, repeats: int = 3):
 
 
 def cmd_bench(ns) -> int:
-    rule, m, n = ns.rule, ns.m, ns.n
-    if n < 0:
-        raise UsageError("--n must be nonnegative")
-    _check_shift(rule, m)
-    if ns.engine == "closed":
-        if n > 10**9:
-            raise UsageError("closed engine is guarded to n <= 10^9")
-        value, elapsed = _timed(lambda: _closed_value(rule, m, n))
-    elif ns.engine == "bareiss":
-        if n > 2048:
-            raise UsageError("bareiss engine is guarded to n <= 2048")
-        sr = SequenceRule(rule, m)
-        if sr.symbolic:
-            raise UsageError("bareiss engine needs an integer rule (unit/grs)")
-        value, elapsed = _timed(lambda: det_oracle(build_matrix(sr, n), "bareiss"))
-    elif ns.engine == "cofactor":
-        if n > 32:
-            raise UsageError("cofactor engine is guarded to n <= 32")
-        sr = SequenceRule(rule, m)
-        value, elapsed = _timed(lambda: det_oracle(build_matrix(sr, n), "cofactor"))
+    entry, sr, engine = _det_request(ns)
+    if engine == "closed":
+        value, elapsed = _timed(lambda: entry.value(ns.n, ns.m))
     else:
-        raise UsageError(f"unknown engine {ns.engine!r}")
-    print(f"engine={ns.engine} rule={rule} m={m} n={n} elapsed_ns={elapsed} value={value}")
+        value, elapsed = _timed(lambda: det_oracle(build_matrix(sr, ns.n), engine))
+    print(f"engine={engine} rule={ns.rule} m={ns.m} n={ns.n} elapsed_ns={elapsed} value={value}")
     return 0
 
 
 def cmd_det(ns) -> int:
-    if ns.n < 0:
-        raise UsageError("--n must be nonnegative")
-    _check_shift(ns.rule, ns.m)
-    sr = SequenceRule(ns.rule, ns.m)
-    if ns.engine == "bareiss" and sr.symbolic:
-        raise UsageError("bareiss engine needs an integer rule (unit/grs)")
+    _, sr, engine = _det_request(ns)
     mat = build_matrix(sr, ns.n)
     if ns.show:
         print(mat.render_grid())
-    print(f"det = {det_oracle(mat, ns.engine)}")
+    print(f"det = {det_oracle(mat, engine)}")
     return 0
 
 
@@ -408,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="emit a sequence table as CSV or JSON")
-    p.add_argument("--seq", required=True, choices=SEQ_CHOICES)
+    p.add_argument("--seq", required=True, choices=tuple(SEQ_RULES))
     p.add_argument("--rule", choices=RULE_CHOICES)
     p.add_argument("--m", type=int, default=None, help="shift (for --seq d)")
     p.add_argument("--from", dest="frm", type=int, default=0)

@@ -41,6 +41,11 @@ class SequenceRule:
     def symbolic(self) -> bool:
         return self.kind in SYMBOLIC_KINDS
 
+    @property
+    def default_engine(self) -> str:
+        """The oracle ``det_oracle`` runs for engine "auto"."""
+        return "cofactor" if self.symbolic else "bareiss"
+
     def value_at(self, t: int):
         """Value on antidiagonal t (i + j = t), or None when it vanishes."""
         p = t + self.shift + 1
@@ -220,7 +225,7 @@ def det_oracle(matrix: HankelMatrix, engine: str = "auto"):
     expansion for symbolic ones.  Both engines accept either entry type.
     """
     if engine == "auto":
-        engine = "cofactor" if matrix.rule.symbolic else "bareiss"
+        engine = matrix.rule.default_engine
     if engine == "bareiss":
         if matrix.rule.symbolic:
             raise TypeError("bareiss engine needs integer entries")

@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from hankelmod2 import closedform, contfrac
-from hankelmod2.cli import main
+from hankelmod2.cli import GUARDS, REGISTRY, RULE_CHOICES, SEQ_RULES, main
 from hankelmod2.exactring import LaurentPoly
+from hankelmod2.hankel import SequenceRule, build_matrix, det_oracle
 
 
 def run_cli(capsys, *args):
@@ -87,6 +89,94 @@ def test_table_usage_errors(capsys):
     assert run_cli(capsys, "table", "--seq", "d", "--m", "-1", "--from", "0", "--to", "3")[0] == 2
 
 
+def _oracle(rule, m, n):
+    return det_oracle(build_matrix(SequenceRule(rule, m), n))
+
+
+def _oracle_ratio(rule, m, n):
+    """det(n) det(n+2) / det(n+1)^2 of the shift-m matrices."""
+    a, b, c = (_oracle(rule, m, k) for k in (n, n + 1, n + 2))
+    return Fraction(a * c, b * b) if isinstance(a, int) else a * c / b ** 2
+
+
+def _registry_reference(seq, rule, m, n, value):
+    """(registry value, oracle-derived reference) in comparable form."""
+    if seq in ("d", "D"):
+        return value, _oracle(rule, m, n)
+    if seq == "T":
+        return value, _oracle_ratio(rule, 1, n)
+    if seq == "t":
+        return value, _oracle_ratio(rule, 0, n)
+    if seq == "s":  # s_0 = T_0, s_n = T_{2n-1} + T_{2n}
+        ts = [_oracle_ratio("unit", 1, k) for k in (2 * n - 1, 2 * n) if k >= 0]
+        return value, sum(ts)
+    if seq in ("lambda", "mu"):  # the unsigned generic monomial
+        return value, str(_oracle("generic", int(seq == "mu"), n)).lstrip("-")
+    if seq == "S":  # D(n+1) = D(n) S(n)
+        return value, _oracle("unit", 1, n) * _oracle("unit", 1, n + 1)
+    if seq == "r":
+        return value, _oracle("grs", 1, n)
+    if seq == "b":  # T_{n-2} = -(-1)^b(n)
+        return -(-1) ** value, _oracle_ratio("unit", 1, n - 2)
+    assert seq == "delta"  # D(n) = (-1)^delta(n)
+    return (-1) ** value, _oracle("unit", 1, n)
+
+
+@pytest.mark.parametrize("seq, rule", list(REGISTRY))
+def test_registry_entry_against_oracle(seq, rule):
+    entry = REGISTRY[(seq, rule)]
+    shifts = {"d": range(entry.min_m, 5), "D": [1]}.get(seq, [0])
+    for m in shifts:
+        for n in range(entry.min_n, 13):
+            got, want = _registry_reference(seq, rule, m, n, entry.value(n, m))
+            assert str(got) == str(want), (seq, rule, m, n)
+
+
+def test_table_prints_the_registry(capsys):
+    for (seq, rule), entry in REGISTRY.items():
+        m = {"d": 2, "D": 1}.get(seq, 0)
+        args = ["table", "--seq", seq, "--rule", rule, "--from", "2", "--to", "9"]
+        code, out, _ = run_cli(capsys, *args, *(["--m", "2"] if seq == "d" else []))
+        assert code == 0, (seq, rule)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["method"] for r in rows] == [entry.method(m)] * 8
+        assert [r["value"] for r in rows] == [str(entry.value(n, m)) for n in range(2, 10)]
+
+
+def test_unregistered_pairs_exit_two_and_print_nothing(capsys):
+    for seq, rules in SEQ_RULES.items():
+        for rule in set(RULE_CHOICES) - set(rules):
+            for fmt in ("csv", "json"):
+                code, out, err = run_cli(capsys, "table", "--seq", seq, "--rule", rule,
+                                         "--from", "2", "--to", "5", "--format", fmt)
+                assert (code, out) == (2, ""), (seq, rule)
+                assert err.startswith("error: ")
+
+
+def test_table_streams_rows(capsys, monkeypatch):
+    real = closedform.d_shift_int
+
+    def fails_at_3(n, m):
+        if n == 3:
+            raise ValueError("internal failure")
+        return real(n, m)
+
+    monkeypatch.setattr(closedform, "d_shift_int", fails_at_3)
+    for fmt, written in (("csv", "n,m,rule,method,value\r\n0,2,unit,closed,1\r\n"),
+                         ("json", '[{"n": 0, "m": 2, "rule": "unit", "method": "closed", "value": "1"}, ')):
+        with pytest.raises(ValueError):
+            main(["table", "--seq", "d", "--m", "2", "--from", "0", "--to", "5", "--format", fmt])
+        assert capsys.readouterr().out.startswith(written)
+
+
+def test_table_json_matches_json_dump(capsys):
+    for lo, hi in ((0, 0), (0, 40), (7, 9)):
+        code, out, _ = run_cli(capsys, "table", "--seq", "d", "--rule", "generic", "--m", "3",
+                               "--from", str(lo), "--to", str(hi), "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out)) + "\n"
+
+
 def test_internal_error_is_not_a_usage_error(monkeypatch):
     def broken(n, m):
         raise ValueError("internal failure")
@@ -105,6 +195,18 @@ def test_verify_suites_exit_zero(capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "verify", "--suite", "conjecture", "--m", "4", "--max-n", "16")
     assert code == 0 and "conjecture-scan m=4" in out and "conforms" in out
+
+
+def test_verify_reports_check_counts(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "ldlt", "--max-n", "5")
+    assert code == 0 and out == "ok ldlt (10 checks)\n"
+    # reflection starts at n = 4: nothing to check, so no "ok"
+    code, out, _ = run_cli(capsys, "verify", "--suite", "reflect", "--max-n", "3")
+    assert code == 0 and "ok" not in out
+    assert out == "empty reflect (0 checks at --max-n 3 --max-m 8)\n"
+    # every rule is checked against the oracle, grs from shift 1
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--max-n", "4", "--max-m", "2")
+    assert code == 0 and out == f"ok oracle ({4 * 3 * 5 + 2 * 5 + 5} checks)\n"
 
 
 def test_verify_cf_renders_a_failed_identity(capsys, monkeypatch):
@@ -150,6 +252,20 @@ def test_bench_closed_and_guards(capsys):
     assert run_cli(capsys, "bench", "--n", "8", "--engine", "closed", "--m", "-1")[0] == 2
     assert run_cli(capsys, "bench", "--n", "8", "--engine", "bareiss",
                    "--rule", "grs", "--m", "0")[0] == 2
+    assert run_cli(capsys, "bench", "--n", str(GUARDS["closed"] + 1), "--engine", "closed")[0] == 2
+
+
+def test_bench_closed_matches_table(capsys):
+    for rule in RULE_CHOICES:
+        for m in range(REGISTRY[("d", rule)].min_m, 4):
+            for n in (0, 5, 13, 16, 61):
+                code, out, _ = run_cli(capsys, "bench", "--n", str(n), "--engine", "closed",
+                                       "--rule", rule, "--m", str(m))
+                assert code == 0
+                value = out.strip().rsplit("value=", 1)[1]
+                code, out, _ = run_cli(capsys, "table", "--seq", "d", "--rule", rule, "--m", str(m),
+                                       "--from", str(n), "--to", str(n))
+                assert code == 0 and csv_values(out) == [value], (rule, m, n)
 
 
 def test_bench_bareiss_matches_closed(capsys):
@@ -173,6 +289,14 @@ def test_det_usage_errors(capsys):
     assert run_cli(capsys, "det", "--n", "-1")[0] == 2
     assert run_cli(capsys, "det", "--n", "3", "--rule", "grs", "--m", "0")[0] == 2
     assert run_cli(capsys, "det", "--n", "3", "--rule", "generic", "--engine", "bareiss")[0] == 2
+    # the bench guards: explicit engines, and "auto" resolved as det_oracle does
+    assert run_cli(capsys, "det", "--n", "1200", "--engine", "cofactor")[0] == 2
+    assert run_cli(capsys, "det", "--n", "2049", "--engine", "bareiss")[0] == 2
+    assert run_cli(capsys, "det", "--n", "2049")[0] == 2
+    assert run_cli(capsys, "det", "--n", "33", "--rule", "powers", "--m", "2")[0] == 2
+    assert run_cli(capsys, "det", "--n", "32", "--rule", "powers", "--m", "2")[0] == 0
+    code, out, _ = run_cli(capsys, "det", "--n", "2", "--rule", "grs", "--m", "2")
+    assert code == 0 and out == "det = -1\n"
 
 
 def test_bad_flags_exit_two():
