@@ -30,8 +30,10 @@ from .hankel import (
     moment_orthogonality,
 )
 
-# largest n each determinant engine takes, in `bench` and `det` alike
-GUARDS = {"closed": 10**9, "bareiss": 2048, "cofactor": 32}
+# largest n each determinant engine takes, in `bench` and `det` alike, and
+# the largest --to of `table --seq b`, whose recurrence caches every index
+# up to n (about 140 MiB at 10^6)
+GUARDS = {"closed": 10**9, "bareiss": 2048, "cofactor": 32, "nonsquash": 10**6}
 
 
 class UsageError(Exception):
@@ -45,6 +47,7 @@ class Evaluator(NamedTuple):
     value: Callable[[int, int], object]  # (n, m) -> exact value
     min_m: int = 0
     min_n: int = 0
+    guard: str | None = None  # GUARDS key bounding n, if any
 
     def method(self, m: int) -> str:
         return self.methods[min(m, len(self.methods) - 1)]
@@ -101,7 +104,8 @@ REGISTRY: dict[tuple[str, str], Evaluator] = {
     ("mu", "generic"): Evaluator(("profile",), lambda n, m: cf.mu_profile(n).monomial()),
     ("S", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.paperfolding_s(n)),
     ("r", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.grs_r(n)),
-    ("b", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.nonsquash_b(n), min_n=2),
+    ("b", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.nonsquash_b(n), min_n=2,
+                            guard="nonsquash"),
     ("delta", "unit"): Evaluator(("digits",), lambda n, m: seqmod.delta_pairs(n)),
 }
 SEQ_RULES = {seq: [r for s, r in REGISTRY if s == seq] for seq, _ in REGISTRY}
@@ -127,6 +131,8 @@ def cmd_table(ns) -> int:
     entry = _resolve(ns.seq, rule, m)
     if ns.frm < entry.min_n or ns.to < ns.frm:
         raise UsageError(f"need {entry.min_n} <= --from <= --to for --seq {ns.seq}")
+    if entry.guard and ns.to > GUARDS[entry.guard]:
+        raise UsageError(f"--seq {ns.seq} is guarded to --to <= {GUARDS[entry.guard]}")
     method = entry.method(m)
     records = (
         {"n": n, "m": m, "rule": rule, "method": method, "value": str(entry.value(n, m))}

@@ -5,7 +5,12 @@ determinants d(n, m), the periodic exponent tables, the symbolic
 monomials, their specializations, and the empirical scanner for the
 shifted-determinant conjecture.  Every determinant reduction folds over
 the one interval-reversal block construction, ``nimble_blocks``; nothing
-here calls a matrix oracle.  Evaluators are O(log n) unless noted.
+here calls a matrix oracle.  The signs take a constant number of
+big-integer operations (``seq``'s word-parallel digit statistics) unless
+noted; the recursive cross-checks (``D_sign(n, "recurrence")``,
+``T_int(n, "structural")``, ``nimble_blocks``) do a few big-integer
+operations per binary digit.  An exponent profile or a symbolic monomial
+is Theta(log^2 n) bits of output, and costs about that much.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from .exactring import LaurentPoly
 
 
 def _binom2_parity(x: int) -> int:
-    """C(x, 2) mod 2."""
-    return 1 if x % 4 in (2, 3) else 0
+    """C(x, 2) mod 2: bit 1 of x."""
+    return (x & 2) >> 1
 
 
 def _pm(parity: int) -> int:
@@ -240,52 +245,54 @@ class ExponentProfile:
         return _pm(sum(_binom2_parity(e) for e in self.entries.values()))
 
 
-def _lambda_k(k: int, i: int) -> int:
-    half = 1 << k
-    quarter = half >> 1
-    if i <= quarter:
-        return 0
-    if i <= half:
-        return 2 * i - half
-    if i <= half + quarter:
-        return 3 * half - 2 * i
-    return 0
+def _edge_profile(n: int, rise: int, fall: int) -> dict[int, int]:
+    """{k: e_k} over the digit edges of n, where bits k and k-1 differ.
+
+    With r = n mod 2^(k-1), bits 01 give e_k = 2r + rise and bits 10 give
+    e_k = 2^k - fall - 2r; zero exponents are dropped.  The low bits come
+    from one mask per edge, so the cost is the Theta(log^2 n) bits of output.
+    """
+    twice = n << 1
+    digits = bin(n)[:1:-1]  # e_0 e_1 ... e_top
+    edges = bin(n ^ (n >> 1))[:1:-1]  # bit j set: e_j != e_{j+1}
+    entries = {}
+    j = edges.find("1")
+    while j >= 0:
+        top = 2 << j  # 2^k
+        low = twice & (top - 1)  # 2r
+        e = low + rise if digits[j] == "1" else top - fall - low
+        if e:
+            entries[j + 1] = e
+        j = edges.find("1", j + 1)
+    return entries
 
 
 def lambda_profile(n: int) -> ExponentProfile:
-    """Exponent of x_{2^k-1} in d(n): periodic in n with period 2^{k+1}."""
+    """Exponent of x_{2^k-1} in d(n): periodic in n with period 2^{k+1}.
+
+    With i = n mod 2^(k+1), h = 2^k: e_k = 2i - h for h/2 < i <= h,
+    3h - 2i for h < i <= 3h/2, else 0.  Read off the digits of n - 1 by
+    ``_edge_profile`` (pieces 2r + 2 and 2^k - 2 - 2r), plus e_0 = n mod 2.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    entries = {}
-    for k in range(n.bit_length() + 1):
-        e = _lambda_k(k, n % (1 << (k + 1)))
-        if e:
-            entries[k] = e
+    if n == 0:
+        return ExponentProfile("lambda", {})
+    entries = {0: 1} if n & 1 else {}
+    entries.update(_edge_profile(n - 1, 2, 2))
     return ExponentProfile("lambda", entries)
 
 
-def _mu_k(k: int, i: int) -> int:
-    half = 1 << k
-    quarter = half >> 1
-    if i < quarter:
-        return 0
-    if i < half:
-        return 2 * i - half + 1
-    if i < half + quarter:
-        return 3 * half - 2 * i - 1
-    return 0
-
-
 def mu_profile(n: int) -> ExponentProfile:
-    """Exponent of x_{2^k-1} (k >= 1) in D(n): periodic with period 2^{k+1}."""
+    """Exponent of x_{2^k-1} (k >= 1) in D(n): periodic with period 2^{k+1}.
+
+    With i = n mod 2^(k+1), h = 2^k: e_k = 2i - h + 1 for h/2 <= i < h,
+    3h - 2i - 1 for h <= i < 3h/2, else 0.  Read off the digits of n by
+    ``_edge_profile`` (pieces 2r + 1 and 2^k - 1 - 2r).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    entries = {}
-    for k in range(1, n.bit_length() + 1):
-        e = _mu_k(k, n % (1 << (k + 1)))
-        if e:
-            entries[k] = e
-    return ExponentProfile("mu", entries)
+    return ExponentProfile("mu", _edge_profile(n, 1, 1))
 
 
 GENERIC_METHODS = ("profile", "recurrence")
@@ -328,14 +335,25 @@ def generic_D(n: int, method: str = "profile") -> LaurentPoly:
     return _blocks_monomial(nimble_blocks(n, 1))
 
 
+def _profile_ratio(profile, n: int) -> LaurentPoly:
+    """P(n) P(n+2) / P(n+1)^2 for a profile P, summed as exponent dicts."""
+    lo, mid, hi = profile(n), profile(n + 1), profile(n + 2)
+    exps = dict(lo.entries)
+    for k, e in hi.entries.items():
+        exps[k] = exps.get(k, 0) + e
+    for k, e in mid.entries.items():
+        exps[k] = exps.get(k, 0) - 2 * e
+    return LaurentPoly.monomial(lo.sign() * hi.sign(), exps)
+
+
 def generic_T(n: int) -> LaurentPoly:
     """T_n = D(n) D(n+2) / D(n+1)^2 as an exact Laurent monomial."""
-    return generic_D(n) * generic_D(n + 2) / (generic_D(n + 1) ** 2)
+    return _profile_ratio(mu_profile, n)
 
 
 def generic_t(n: int) -> LaurentPoly:
     """t_n = d(n) d(n+2) / d(n+1)^2 as an exact Laurent monomial."""
-    return generic_d(n) * generic_d(n + 2) / (generic_d(n + 1) ** 2)
+    return _profile_ratio(lambda_profile, n)
 
 
 def ratio_h(n: int) -> LaurentPoly:

@@ -1,8 +1,12 @@
 """Integer and sign sequences driven by binary digits.
 
 Everything here is a pure function of an arbitrary-precision nonnegative
-integer, cheap enough (O(log n) except where noted) to be called at
-n ~ 10**6 and far beyond.
+integer.  The digit statistics (``sign_s``, ``sign_v``, ``delta_pairs``,
+``rho_pairs``, ``grs_r``, ``digit_sum``, ``bit_a``) are word-parallel: a
+constant number of big-integer shifts, masks and popcounts, each linear in
+the number of machine words of n.  ``paperfolding_s`` shifts once per
+trailing one, ``ones_total`` does a constant number of operations per set
+bit, and ``nonsquash_b`` fills a cache of every index up to n.
 """
 
 from __future__ import annotations
@@ -33,33 +37,22 @@ def paperfolding_s(n: int) -> int:
 
 
 def sign_s(n: int) -> int:
-    """Sign sequence with s(2n) = (-1)^n s(n), s(2n+1) = s(n), s(0) = 1."""
+    """Sign sequence with s(2n) = (-1)^n s(n), s(2n+1) = s(n), s(0) = 1.
+
+    Each 10 digit pair e_{i+1}e_i flips the sign: (-1)^popcount((n>>1) & ~n).
+    """
     _check_nonneg(n)
-    sign = 1
-    while n:
-        if n & 1:
-            n >>= 1
-        else:
-            n >>= 1
-            if n & 1:
-                sign = -sign
-    return sign
+    return -1 if ((n >> 1) & ~n).bit_count() & 1 else 1
 
 
 def sign_v(n: int) -> int:
-    """Sign sequence with v(2n+1) = v(n), v(4n) = (-1)^n v(2n), v(4n+2) = v(2n)."""
+    """Sign sequence with v(2n+1) = v(n), v(4n) = (-1)^n v(2n), v(4n+2) = v(2n).
+
+    The rules drop the trailing ones and the first zero above them; what is
+    left flips the sign once per 10 digit pair, as in ``sign_s``.
+    """
     _check_nonneg(n)
-    sign = 1
-    while n:
-        if n & 1:
-            n >>= 1
-        elif n & 2:
-            n = (n - 2) >> 1
-        else:
-            if (n >> 2) & 1:
-                sign = -sign
-            n >>= 1
-    return sign
+    return sign_s(n >> (~n & (n + 1)).bit_length())
 
 
 def delta_pairs(n: int) -> int:
@@ -69,35 +62,22 @@ def delta_pairs(n: int) -> int:
     from position 1 upward.
     """
     _check_nonneg(n)
-    count = 1 if (n & 3) == 3 else 0
-    n >>= 1
-    while n:
-        if (n & 3) == 2:  # e_{i+1}e_i = 10
-            count += 1
-        n >>= 1
-    return count
+    return ((n >> 1) & ~n & ~1).bit_count() + ((n & 3) == 3)
 
 
 def rho_pairs(n: int) -> int:
     """Number of (overlapping) adjacent 11 pairs in the binary expansion."""
     _check_nonneg(n)
-    count = 0
-    while n:
-        if (n & 3) == 3:
-            count += 1
-        n >>= 1
-    return count
+    return (n & (n >> 1)).bit_count()
 
 
 def grs_r(n: int) -> int:
-    """Golay-Rudin-Shapiro sign via r(2n) = r(n), r(2n+1) = (-1)^n r(n), r(0) = 1."""
-    _check_nonneg(n)
-    sign = 1
-    while n:
-        if (n & 3) == 3:  # the odd step flips exactly when the next bit is set
-            sign = -sign
-        n >>= 1
-    return sign
+    """Golay-Rudin-Shapiro sign via r(2n) = r(n), r(2n+1) = (-1)^n r(n), r(0) = 1.
+
+    The odd step flips exactly when the next digit is set too, so the sign
+    is (-1)^rho_pairs(n).
+    """
+    return -1 if rho_pairs(n) & 1 else 1
 
 
 def ones_total(n: int) -> int:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hankelmod2 import closedform, contfrac
+from hankelmod2 import seq as seqmod
 from hankelmod2.cli import GUARDS, REGISTRY, RULE_CHOICES, SEQ_RULES, main
 from hankelmod2.exactring import LaurentPoly
 from hankelmod2.hankel import SequenceRule, build_matrix, det_oracle
@@ -87,6 +88,21 @@ def test_table_usage_errors(capsys):
     assert run_cli(capsys, "table", "--seq", "d", "--from", "4", "--to", "2")[0] == 2
     assert run_cli(capsys, "table", "--seq", "lambda", "--rule", "unit", "--from", "0", "--to", "3")[0] == 2
     assert run_cli(capsys, "table", "--seq", "d", "--m", "-1", "--from", "0", "--to", "3")[0] == 2
+
+
+def test_table_nonsquash_guard(capsys, monkeypatch):
+    # b(n) caches every index up to n, so the guard must act before any row
+    def never(n):
+        raise AssertionError(f"nonsquash_b({n}) called")
+
+    monkeypatch.setattr(seqmod, "nonsquash_b", never)
+    cap = GUARDS["nonsquash"]
+    for lo, hi in ((2, cap + 1), (10**8, 10**8)):
+        for fmt in ("csv", "json"):
+            code, out, err = run_cli(capsys, "table", "--seq", "b", "--from", str(lo),
+                                     "--to", str(hi), "--format", fmt)
+            assert (code, out) == (2, ""), (lo, hi, fmt)
+            assert err.startswith("error: ")
 
 
 def _oracle(rule, m, n):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelmod2.closedform import (
     ConjectureReport,
@@ -139,6 +141,65 @@ def test_paperfolding_coupling():
         assert paperfolding_s(n) == D_sign(n) * D_sign(n + 1)
 
 
+# The profile tables with one modulo per k, as the pieces were first stated;
+# the references for the bit-slice profiles.
+
+
+def _lambda_k(k, i):
+    half = 1 << k
+    quarter = half >> 1
+    if i <= quarter:
+        return 0
+    if i <= half:
+        return 2 * i - half
+    if i <= half + quarter:
+        return 3 * half - 2 * i
+    return 0
+
+
+def lambda_profile_loop(n):
+    entries = {}
+    for k in range(n.bit_length() + 1):
+        e = _lambda_k(k, n % (1 << (k + 1)))
+        if e:
+            entries[k] = e
+    return entries
+
+
+def _mu_k(k, i):
+    half = 1 << k
+    quarter = half >> 1
+    if i < quarter:
+        return 0
+    if i < half:
+        return 2 * i - half + 1
+    if i < half + quarter:
+        return 3 * half - 2 * i - 1
+    return 0
+
+
+def mu_profile_loop(n):
+    entries = {}
+    for k in range(1, n.bit_length() + 1):
+        e = _mu_k(k, n % (1 << (k + 1)))
+        if e:
+            entries[k] = e
+    return entries
+
+
+def test_profiles_match_loop_references():
+    for n in range(1 << 14):
+        assert lambda_profile(n).entries == lambda_profile_loop(n), n
+        assert mu_profile(n).entries == mu_profile_loop(n), n
+
+
+@given(st.integers(1000, 10000).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)))
+@settings(max_examples=20, deadline=None)
+def test_profiles_match_loop_references_at_huge_n(n):
+    assert lambda_profile(n).entries == lambda_profile_loop(n)
+    assert mu_profile(n).entries == mu_profile_loop(n)
+
+
 def test_lambda_profile_examples():
     assert [lambda_profile(n).get(2) for n in range(8)] == [0, 0, 0, 2, 4, 2, 0, 0]
     assert lambda_profile(11).entries == {0: 1, 2: 2, 3: 2, 4: 6}
@@ -198,6 +259,24 @@ def test_generic_D_methods_agree():
         assert generic_D(n) == generic_D(n, "recurrence"), n
     for n in _huge_inputs(12):
         assert generic_D(n) == generic_D(n, "recurrence"), n
+
+
+def generic_T_ratio(n):
+    """The ratio as LaurentPoly arithmetic on the three monomials."""
+    return generic_D(n) * generic_D(n + 2) / (generic_D(n + 1) ** 2)
+
+
+def generic_t_ratio(n):
+    return generic_d(n) * generic_d(n + 2) / (generic_d(n + 1) ** 2)
+
+
+def test_generic_ratios_match_monomial_arithmetic():
+    for n in range(4097):
+        assert generic_T(n) == generic_T_ratio(n), n
+        assert generic_t(n) == generic_t_ratio(n), n
+    for n in _huge_inputs(13):
+        assert generic_T(n) == generic_T_ratio(n), n
+        assert generic_t(n) == generic_t_ratio(n), n
 
 
 def test_generic_T_printed_values():

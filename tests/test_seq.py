@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelmod2.seq import (
     bit_a,
@@ -14,6 +16,86 @@ from hankelmod2.seq import (
     sign_s,
     sign_v,
 )
+
+
+
+# The digit-by-digit loops the word-parallel kernels replaced, kept as
+# references: each walks the recurrence its kernel's docstring states.
+
+
+def sign_s_loop(n):
+    sign = 1
+    while n:
+        if n & 1:
+            n >>= 1
+        else:
+            n >>= 1
+            if n & 1:
+                sign = -sign
+    return sign
+
+
+def sign_v_loop(n):
+    sign = 1
+    while n:
+        if n & 1:
+            n >>= 1
+        elif n & 2:
+            n = (n - 2) >> 1
+        else:
+            if (n >> 2) & 1:
+                sign = -sign
+            n >>= 1
+    return sign
+
+
+def delta_pairs_loop(n):
+    count = 1 if (n & 3) == 3 else 0
+    n >>= 1
+    while n:
+        if (n & 3) == 2:  # e_{i+1}e_i = 10
+            count += 1
+        n >>= 1
+    return count
+
+
+def rho_pairs_loop(n):
+    count = 0
+    while n:
+        if (n & 3) == 3:
+            count += 1
+        n >>= 1
+    return count
+
+
+def grs_r_loop(n):
+    sign = 1
+    while n:
+        if (n & 3) == 3:  # the odd step flips exactly when the next bit is set
+            sign = -sign
+        n >>= 1
+    return sign
+
+
+KERNELS = ((sign_s, sign_s_loop), (sign_v, sign_v_loop), (delta_pairs, delta_pairs_loop),
+           (rho_pairs, rho_pairs_loop), (grs_r, grs_r_loop))
+
+# n of 10^3 to 10^4 bits, top bit set
+huge_n = st.integers(1000, 10000).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
+
+
+def test_kernels_match_loop_references():
+    for n in range(1 << 14):
+        for kernel, reference in KERNELS:
+            assert kernel(n) == reference(n), (kernel.__name__, n)
+
+
+@given(huge_n)
+@settings(max_examples=100, deadline=None)
+def test_kernels_match_loop_references_at_huge_n(n):
+    for kernel, reference in KERNELS:
+        assert kernel(n) == reference(n), kernel.__name__
+
 
 # printed prefixes
 S_PREFIX = [1, 1, -1, 1, 1, -1, -1, 1, 1, 1]
@@ -99,12 +181,13 @@ def test_grs_examples():
 
 
 def test_grs_matches_pair_count():
+    # against the digit loop: grs_r and rho_pairs share one popcount
     for n in range(1 << 20):
-        assert grs_r(n) == (1 if rho_pairs(n) % 2 == 0 else -1)
+        assert grs_r(n) == (1 if rho_pairs_loop(n) % 2 == 0 else -1)
     rng = random.Random(0xC1617)
     for _ in range(20000):
         n = rng.randrange(1 << 64)
-        assert grs_r(n) == (1 if rho_pairs(n) % 2 == 0 else -1)
+        assert grs_r(n) == (1 if rho_pairs_loop(n) % 2 == 0 else -1)
 
 
 def test_grs_block_recursion():
