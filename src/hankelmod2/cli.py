@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 from . import closedform as cf
 from . import contfrac
 from . import seq as seqmod
+from .exactring import LaurentPoly
 from .hankel import (
     SequenceRule,
     build_matrix,
@@ -33,7 +34,7 @@ from .hankel import (
 # largest n each determinant engine takes, in `bench` and `det` alike, and
 # the largest --to of `table --seq b`, whose recurrence caches every index
 # up to n (about 140 MiB at 10^6)
-GUARDS = {"closed": 10**9, "bareiss": 2048, "cofactor": 32, "nonsquash": 10**6}
+GUARDS = {"closed": 10**9, "bareiss": 2048, "cofactor": 48, "nonsquash": 10**6}
 
 
 class UsageError(Exception):
@@ -53,36 +54,20 @@ class Evaluator(NamedTuple):
         return self.methods[min(m, len(self.methods) - 1)]
 
 
-def _generic_det(n: int, m: int):
-    if m == 0:
-        return cf.generic_d(n)
-    if m == 1:
-        return cf.generic_D(n)
-    return cf.d_shift_generic(n, m)
-
-
 def _specialized(rule: str, generic: Callable[[int, int], object]) -> Callable[[int, int], object]:
     """Substitution is a ring homomorphism: a rule's value is the generic
     monomial with the rule's values substituted in."""
     return lambda n, m: cf.specialize_poly(generic(n, m), rule)
 
 
-def _generic_T(n: int, m: int):
-    return cf.generic_T(n)
-
-
-def _generic_t(n: int, m: int):
-    return cf.generic_t(n)
-
-
 # d(n, m) per rule; --seq d takes any shift, --seq D is the shift-1 table.
 DETERMINANTS = {
     "unit": Evaluator(("closed",), lambda n, m: cf.d_shift_int(n, m)),
-    "generic": Evaluator(("profile", "profile", "reduction"), _generic_det),
-    "powers": Evaluator(("specialize",), _specialized("powers", _generic_det)),
-    "doubling": Evaluator(("specialize",), _specialized("doubling", _generic_det)),
+    "generic": Evaluator(("profile",), cf.d_shift_generic),
+    "powers": Evaluator(("specialize",), _specialized("powers", cf.d_shift_generic)),
+    "doubling": Evaluator(("specialize",), _specialized("doubling", cf.d_shift_generic)),
     # the grs rule assigns no value to x0, which only the shift-0 matrix has
-    "grs": Evaluator(("specialize",), _specialized("grs", _generic_det), min_m=1),
+    "grs": Evaluator(("specialize",), _specialized("grs", cf.d_shift_generic), min_m=1),
 }
 RULE_CHOICES = tuple(DETERMINANTS)
 
@@ -91,17 +76,19 @@ RULE_CHOICES = tuple(DETERMINANTS)
 REGISTRY: dict[tuple[str, str], Evaluator] = {
     **{(seq, rule): e for seq in ("d", "D") for rule, e in DETERMINANTS.items()},
     ("T", "unit"): Evaluator(("ratio",), lambda n, m: cf.T_int(n)),
-    ("T", "generic"): Evaluator(("ratio",), _generic_T),
-    **{("T", r): Evaluator(("specialize",), _specialized(r, _generic_T))
+    ("T", "generic"): Evaluator(("ratio",), lambda n, m: cf.generic_T(n)),
+    **{("T", r): Evaluator(("specialize",), _specialized(r, lambda n, m: cf.generic_T(n)))
        for r in cf.SPECIAL_KINDS},
     ("t", "unit"): Evaluator(("favard",), lambda n, m: cf.favard_st(n)[1]),
-    ("t", "generic"): Evaluator(("ratio",), _generic_t),
+    ("t", "generic"): Evaluator(("ratio",), lambda n, m: cf.generic_t(n)),
     # t_n is a ratio of unshifted determinants, so it carries x0: no grs entry
-    **{("t", r): Evaluator(("specialize",), _specialized(r, _generic_t))
+    **{("t", r): Evaluator(("specialize",), _specialized(r, lambda n, m: cf.generic_t(n)))
        for r in ("powers", "doubling")},
     ("s", "unit"): Evaluator(("favard",), lambda n, m: cf.favard_st(n)[0]),
-    ("lambda", "generic"): Evaluator(("profile",), lambda n, m: cf.lambda_profile(n).monomial()),
-    ("mu", "generic"): Evaluator(("profile",), lambda n, m: cf.mu_profile(n).monomial()),
+    ("lambda", "generic"): Evaluator(("profile",),
+                                     lambda n, m: LaurentPoly.monomial(1, cf.shift_profile(n, 0))),
+    ("mu", "generic"): Evaluator(("profile",),
+                                 lambda n, m: LaurentPoly.monomial(1, cf.shift_profile(n, 1))),
     ("S", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.paperfolding_s(n)),
     ("r", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.grs_r(n)),
     ("b", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.nonsquash_b(n), min_n=2,
@@ -161,9 +148,11 @@ def cmd_table(ns) -> int:
 
 
 def _oracle_cap(sr: SequenceRule) -> int:
-    """Largest n the oracle suite checks: the cofactor oracle and shifts
-    >= 2 cost more than Bareiss at shifts 0 and 1."""
-    return 48 if sr.shift >= 2 else 32 if sr.symbolic else 512
+    """Largest n the oracle suite checks: symbolic rules up to the cofactor
+    guard; integer rules at shifts >= 2 cost more than Bareiss at 0 and 1."""
+    if sr.symbolic:
+        return GUARDS["cofactor"]
+    return 48 if sr.shift >= 2 else 512
 
 
 def _suite_oracle(max_n: int, max_m: int, rng):
@@ -188,6 +177,9 @@ def _suite_methods(max_n: int, max_m: int, rng):
         t = cf.T_int(n, "ratio")
         for method in ("recurrence", "structural", "nonsquash"):
             yield f"(n={n}) T {method}", cf.T_int(n, method), t
+        for m in range(max_m + 1):
+            yield (f"(n={n}, m={m}) d profile against recurrence",
+                   cf.d_shift_generic(n, m, "profile"), cf.d_shift_generic(n, m, "recurrence"))
 
 
 def _suite_reflect(max_n: int, max_m: int, rng):
@@ -282,6 +274,10 @@ def cmd_verify(ns) -> int:
         raise UsageError("--max-m must be at least 1")
     if ns.m is not None and ns.m < 2:
         raise UsageError("the conjecture scan needs --m >= 2")
+    # the methods suite checks T_n against nonsquash_b(n + 2), which caches
+    # every index up to its argument
+    if ns.suite in ("methods", "all") and ns.max_n + 2 > GUARDS["nonsquash"]:
+        raise UsageError(f"--suite {ns.suite} is guarded to --max-n <= {GUARDS['nonsquash'] - 2}")
     rng = random.Random(ns.prop_seed)
     failures = 0
     if ns.suite == "all":

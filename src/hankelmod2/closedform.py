@@ -1,11 +1,15 @@
 """Closed-form and recursive evaluators for the determinant sequences.
 
 Sign sequences d(n), D(n), T_n, the Favard coefficients, shifted
-determinants d(n, m), the periodic exponent tables, the symbolic
-monomials, their specializations, and the empirical scanner for the
-shifted-determinant conjecture.  Every determinant reduction folds over
-the one interval-reversal block construction, ``nimble_blocks``; nothing
-here calls a matrix oracle.  The signs take a constant number of
+determinants d(n, m), the exponent profile, the symbolic monomials, their
+specializations, and the empirical scanner for the shifted-determinant
+conjecture.  Every determinant is one signed permutation, so every
+symbolic d(n, m) is one monomial whose exponents form one tent table,
+``shift_profile(n, m)``, read off the digit edges of 2n + m; d(n) and
+D(n) are its shifts 0 and 1.  The ``recurrence`` methods and
+``d_shift_int`` at m >= 2 fold over the one interval-reversal block
+construction, ``nimble_blocks``, which shares no code with the profile;
+nothing here calls a matrix oracle.  The signs take a constant number of
 big-integer operations (``seq``'s word-parallel digit statistics) unless
 noted; the recursive cross-checks (``D_sign(n, "recurrence")``,
 ``T_int(n, "structural")``, ``nimble_blocks``) do a few big-integer
@@ -16,7 +20,7 @@ is Theta(log^2 n) bits of output, and costs about that much.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import seq
 from .exactring import LaurentPoly
@@ -204,16 +208,6 @@ def d_shift_int(n: int, m: int) -> int:
     return 0 if blocks is None else blocks_sign(blocks)
 
 
-def d_shift_generic(n: int, m: int) -> LaurentPoly:
-    """Symbolic shifted determinant, m >= 2: the product of the
-    (-1)^C(L,2) x_{2^k-1}^L over the ``nimble_blocks`` of (n, m), or zero
-    when some row has no admissible image.
-    """
-    if m < 2:
-        raise ValueError("use generic_d / generic_D for m < 2")
-    return _blocks_monomial(nimble_blocks(n, m))
-
-
 def shift_support(n: int, m: int) -> bool:
     """Residue support rule: d(n, m) != 0 iff n = 0 or -m mod 2^{K+1}."""
     if m < 1:
@@ -223,137 +217,101 @@ def shift_support(n: int, m: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The periodic exponent tables and symbolic monomials
+# The exponent profile and the symbolic monomials
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentProfile:
-    """Nonzero exponents of the symbolic Hankel determinant monomial."""
+def shift_profile(n: int, m: int) -> dict[int, int]:
+    """{k: e_k}, the exponent of x_{2^k-1} in d(n, m) on its support.
 
-    flavor: str  # "lambda" (unshifted) or "mu" (shifted)
-    entries: dict[int, int] = field(default_factory=dict)
-
-    def get(self, k: int) -> int:
-        return self.entries.get(k, 0)
-
-    def monomial(self) -> LaurentPoly:
-        """The unsigned monomial prod x_{2^k-1}^{e_k}."""
-        return LaurentPoly.monomial(1, self.entries)
-
-    def sign(self) -> int:
-        return _pm(sum(_binom2_parity(e) for e in self.entries.values()))
-
-
-def _edge_profile(n: int, rise: int, fall: int) -> dict[int, int]:
-    """{k: e_k} over the digit edges of n, where bits k and k-1 differ.
-
-    With r = n mod 2^(k-1), bits 01 give e_k = 2r + rise and bits 10 give
-    e_k = 2^k - fall - 2r; zero exponents are dropped.  The low bits come
-    from one mask per edge, so the cost is the Theta(log^2 n) bits of output.
+    One tent table for every shift: with h = 2^k > m and
+    w = (2n + m) mod 2^(k+2), e_k = max(0, h - |w - 2h|), periodic in n
+    with period 2^(k+1); shifts 0 and 1 are the lambda and mu tables.
+    Read off the digit edges of Y = 2n + m from bit bl(m) upward: bits
+    (k+1, k) = 01 give Y mod 2^k, bits 10 give 2^k - (Y mod 2^k), other
+    pairs give 0, and zero exponents are dropped.  The low bits come from
+    one mask per edge, so the cost is the Theta(log^2 n) bits of output.
     """
-    twice = n << 1
-    digits = bin(n)[:1:-1]  # e_0 e_1 ... e_top
-    edges = bin(n ^ (n >> 1))[:1:-1]  # bit j set: e_j != e_{j+1}
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be nonnegative")
+    y = 2 * n + m
+    digits = bin(y)[:1:-1]  # y_0 y_1 ... y_top
+    edges = bin(y ^ (y >> 1))[:1:-1]  # bit k set: y_k != y_{k+1}
     entries = {}
-    j = edges.find("1")
-    while j >= 0:
-        top = 2 << j  # 2^k
-        low = twice & (top - 1)  # 2r
-        e = low + rise if digits[j] == "1" else top - fall - low
+    k = edges.find("1", m.bit_length())
+    while k >= 0:
+        top = 1 << k
+        low = y & (top - 1)
+        e = low if digits[k] == "1" else top - low
         if e:
-            entries[j + 1] = e
-        j = edges.find("1", j + 1)
+            entries[k] = e
+        k = edges.find("1", k + 1)
     return entries
 
 
-def lambda_profile(n: int) -> ExponentProfile:
-    """Exponent of x_{2^k-1} in d(n): periodic in n with period 2^{k+1}.
+def _profile_sign(entries: dict[int, int]) -> int:
+    """(-1)^sum C(e_k, 2): each k lies in one block, so this is the block sign."""
+    return _pm(sum(_binom2_parity(e) for e in entries.values()))
 
-    With i = n mod 2^(k+1), h = 2^k: e_k = 2i - h for h/2 < i <= h,
-    3h - 2i for h < i <= 3h/2, else 0.  Read off the digits of n - 1 by
-    ``_edge_profile`` (pieces 2r + 2 and 2^k - 2 - 2r), plus e_0 = n mod 2.
+
+def d_shift_generic(n: int, m: int, method: str = "profile") -> LaurentPoly:
+    """Symbolic shifted determinant d(n, m): one signed monomial, or zero.
+
+    profile: zero off ``shift_support`` (m >= 2), otherwise the
+    ``shift_profile`` monomial with sign (-1)^sum C(e_k, 2).
+    recurrence: the fold over ``nimble_blocks(n, m)``, the product of the
+    (-1)^C(L,2) x_{2^k-1}^L, or zero when some row has no admissible image.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return ExponentProfile("lambda", {})
-    entries = {0: 1} if n & 1 else {}
-    entries.update(_edge_profile(n - 1, 2, 2))
-    return ExponentProfile("lambda", entries)
-
-
-def mu_profile(n: int) -> ExponentProfile:
-    """Exponent of x_{2^k-1} (k >= 1) in D(n): periodic with period 2^{k+1}.
-
-    With i = n mod 2^(k+1), h = 2^k: e_k = 2i - h + 1 for h/2 <= i < h,
-    3h - 2i - 1 for h <= i < 3h/2, else 0.  Read off the digits of n by
-    ``_edge_profile`` (pieces 2r + 1 and 2^k - 1 - 2r).
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return ExponentProfile("mu", _edge_profile(n, 1, 1))
-
-
-GENERIC_METHODS = ("profile", "recurrence")
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be nonnegative")
+    if method == "profile":
+        if m >= 2 and not shift_support(n, m):
+            return LaurentPoly.zero()
+        entries = shift_profile(n, m)
+        return LaurentPoly.monomial(_profile_sign(entries), entries)
+    if method != "recurrence":
+        raise ValueError(f"unknown method {method!r}")
+    return _blocks_monomial(nimble_blocks(n, m))
 
 
 def generic_d(n: int, method: str = "profile") -> LaurentPoly:
-    """Symbolic d(n): a single signed monomial (1 at n = 0).
+    """Symbolic d(n) = d(n, 0), a single signed monomial (1 at n = 0).
 
-    profile: sign and exponents straight from the lambda table.
-    recurrence: the fold over ``nimble_blocks(n, 0)``, which peels
-    d(n) = (-1)^C(b,2) x_{2^k-1}^b d(n - b) with k = ceil(log2 n) and
-    b = 2n - 2^k.
+    The recurrence peels d(n) = (-1)^C(b,2) x_{2^k-1}^b d(n - b) with
+    k = ceil(log2 n) and b = 2n - 2^k.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if method == "profile":
-        prof = lambda_profile(n)
-        return LaurentPoly.monomial(prof.sign(), prof.entries)
-    if method != "recurrence":
-        raise ValueError(f"unknown method {method!r}")
-    return _blocks_monomial(nimble_blocks(n, 0))
+    return d_shift_generic(n, 0, method)
 
 
 def generic_D(n: int, method: str = "profile") -> LaurentPoly:
-    """Symbolic D(n) as a signed monomial in x_{2^k-1}, k >= 1.
+    """Symbolic D(n) = d(n, 1), a signed monomial in x_{2^k-1}, k >= 1.
 
-    profile: sign and exponents straight from the mu table.
-    recurrence: the fold over ``nimble_blocks(n, 1)``, which peels
-    D(n) = (-1)^C(L,2) x_{gamma}^L D(gamma - n) with
+    The recurrence peels D(n) = (-1)^C(L,2) x_{gamma}^L D(gamma - n) with
     gamma = 2^ceil(log2(n+1)) - 1 and L = 2n - gamma; the reversal-length
     sign (not (-1)^n, which already fails at n = 1) keeps D(1) = x1.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if method == "profile":
-        prof = mu_profile(n)
-        return LaurentPoly.monomial(prof.sign(), prof.entries)
-    if method != "recurrence":
-        raise ValueError(f"unknown method {method!r}")
-    return _blocks_monomial(nimble_blocks(n, 1))
+    return d_shift_generic(n, 1, method)
 
 
-def _profile_ratio(profile, n: int) -> LaurentPoly:
-    """P(n) P(n+2) / P(n+1)^2 for a profile P, summed as exponent dicts."""
-    lo, mid, hi = profile(n), profile(n + 1), profile(n + 2)
-    exps = dict(lo.entries)
-    for k, e in hi.entries.items():
+def _profile_ratio(m: int, n: int) -> LaurentPoly:
+    """d(n, m) d(n+2, m) / d(n+1, m)^2, summed as exponent dicts (m < 2)."""
+    lo, mid, hi = (shift_profile(n + i, m) for i in range(3))
+    exps = dict(lo)
+    for k, e in hi.items():
         exps[k] = exps.get(k, 0) + e
-    for k, e in mid.entries.items():
+    for k, e in mid.items():
         exps[k] = exps.get(k, 0) - 2 * e
-    return LaurentPoly.monomial(lo.sign() * hi.sign(), exps)
+    return LaurentPoly.monomial(_profile_sign(lo) * _profile_sign(hi), exps)
 
 
 def generic_T(n: int) -> LaurentPoly:
     """T_n = D(n) D(n+2) / D(n+1)^2 as an exact Laurent monomial."""
-    return _profile_ratio(mu_profile, n)
+    return _profile_ratio(1, n)
 
 
 def generic_t(n: int) -> LaurentPoly:
     """t_n = d(n) d(n+2) / d(n+1)^2 as an exact Laurent monomial."""
-    return _profile_ratio(lambda_profile, n)
+    return _profile_ratio(0, n)
 
 
 def ratio_h(n: int) -> LaurentPoly:

@@ -18,7 +18,7 @@ from hankelmod2.closedform import (
     d_sign,
     generic_D,
     generic_d,
-    mu_profile,
+    shift_profile,
     shift_support,
 )
 from hankelmod2.contfrac import verify_identity
@@ -188,7 +188,7 @@ def test_criterion_12_performance(capsys):
     for name, fn in (
         ("D_sign", lambda: D_sign(10**6)),
         ("T_int", lambda: T_int(10**6)),
-        ("generic_D profile", lambda: mu_profile(10**6)),
+        ("generic_D profile", lambda: shift_profile(10**6, 1)),
     ):
         best = min(_timeit(fn) for _ in range(5))
         timings[name] = best

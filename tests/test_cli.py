@@ -248,6 +248,20 @@ def test_verify_all_gate(capsys):
     assert "conjecture-scan" in out
 
 
+def test_verify_methods_nonsquash_guard(capsys, monkeypatch):
+    # the methods suite checks T_n against nonsquash_b(n + 2), which caches
+    # every index up to its argument: the guard acts before any check
+    def never(n):
+        raise AssertionError(f"nonsquash_b({n}) called")
+
+    monkeypatch.setattr(seqmod, "nonsquash_b", never)
+    for suite in ("methods", "all"):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                                 "--max-n", str(GUARDS["nonsquash"] - 1))
+        assert (code, out) == (2, ""), suite
+        assert err.startswith("error: ")
+
+
 def test_verify_degenerate_bound(capsys):
     assert run_cli(capsys, "verify", "--suite", "all", "--max-n", "0")[0] == 2
     assert run_cli(capsys, "verify", "--suite", "conjecture", "--m", "1")[0] == 2
@@ -260,7 +274,7 @@ def test_bench_closed_and_guards(capsys):
     m = re.match(r"engine=closed rule=unit m=1 n=1000000 elapsed_ns=(\d+) value=(-?1)$",
                  out.strip())
     assert m, out
-    assert run_cli(capsys, "bench", "--n", "33", "--engine", "cofactor",
+    assert run_cli(capsys, "bench", "--n", "49", "--engine", "cofactor",
                    "--rule", "generic", "--m", "0")[0] == 2
     assert run_cli(capsys, "bench", "--n", "4096", "--engine", "bareiss")[0] == 2
     assert run_cli(capsys, "bench", "--n", "8", "--engine", "bareiss",
@@ -309,8 +323,10 @@ def test_det_usage_errors(capsys):
     assert run_cli(capsys, "det", "--n", "1200", "--engine", "cofactor")[0] == 2
     assert run_cli(capsys, "det", "--n", "2049", "--engine", "bareiss")[0] == 2
     assert run_cli(capsys, "det", "--n", "2049")[0] == 2
-    assert run_cli(capsys, "det", "--n", "33", "--rule", "powers", "--m", "2")[0] == 2
-    assert run_cli(capsys, "det", "--n", "32", "--rule", "powers", "--m", "2")[0] == 0
+    assert run_cli(capsys, "det", "--n", "49", "--rule", "powers", "--m", "2")[0] == 2
+    assert run_cli(capsys, "det", "--n", "48", "--rule", "powers", "--m", "2")[0] == 0
+    assert run_cli(capsys, "det", "--n", "49", "--rule", "generic", "--m", "0")[0] == 2
+    assert run_cli(capsys, "det", "--n", "48", "--rule", "generic", "--m", "0")[0] == 0
     code, out, _ = run_cli(capsys, "det", "--n", "2", "--rule", "grs", "--m", "2")
     assert code == 0 and out == "det = -1\n"
 

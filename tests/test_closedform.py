@@ -20,10 +20,9 @@ from hankelmod2.closedform import (
     generic_T,
     generic_d,
     generic_t,
-    lambda_profile,
-    mu_profile,
     nimble_blocks,
     ratio_h,
+    shift_profile,
     shift_support,
     specialize_det,
     specialize_poly,
@@ -189,41 +188,94 @@ def mu_profile_loop(n):
 
 def test_profiles_match_loop_references():
     for n in range(1 << 14):
-        assert lambda_profile(n).entries == lambda_profile_loop(n), n
-        assert mu_profile(n).entries == mu_profile_loop(n), n
+        assert shift_profile(n, 0) == lambda_profile_loop(n), n
+        assert shift_profile(n, 1) == mu_profile_loop(n), n
 
 
 @given(st.integers(1000, 10000).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)))
 @settings(max_examples=20, deadline=None)
 def test_profiles_match_loop_references_at_huge_n(n):
-    assert lambda_profile(n).entries == lambda_profile_loop(n)
-    assert mu_profile(n).entries == mu_profile_loop(n)
+    assert shift_profile(n, 0) == lambda_profile_loop(n)
+    assert shift_profile(n, 1) == mu_profile_loop(n)
+
+
+def tent_profile_loop(n, m):
+    """The one tent table with one modulo per k: e_k = max(0, h - |w - 2h|)
+    with h = 2^k > m and w = (2n + m) mod 2^(k+2)."""
+    entries = {}
+    y = 2 * n + m
+    k = m.bit_length()  # the least k with 2^k > m
+    while (1 << k) <= y:
+        h = 1 << k
+        e = max(0, h - abs(y % (4 * h) - 2 * h))
+        if e:
+            entries[k] = e
+        k += 1
+    return entries
+
+
+def test_shift_profile_matches_tent_reference():
+    for m in range(65):
+        for n in range(1 << 12):
+            assert shift_profile(n, m) == tent_profile_loop(n, m), (n, m)
+
+
+@given(st.integers(1000, 10000).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)),
+       st.integers(0, 256))
+@settings(max_examples=20, deadline=None)
+def test_shift_profile_matches_tent_reference_at_huge_n(n, m):
+    assert shift_profile(n, m) == tent_profile_loop(n, m)
+
+
+def test_shift_profile_matches_nimble_blocks():
+    # exponents and sign of the block fold on every supported pair
+    for m in range(65):
+        for n in range(1 << 10):
+            blocks = nimble_blocks(n, m)
+            if blocks is None:
+                continue
+            exps = {}
+            for k, length in blocks:
+                exps[k] = exps.get(k, 0) + length
+            assert shift_profile(n, m) == exps, (n, m)
+            sign = (-1) ** sum(e * (e - 1) // 2 for e in exps.values())
+            assert sign == blocks_sign(blocks), (n, m)
+
+
+def test_shift_profile_rejects_negative_arguments():
+    for n, m in ((-1, 0), (0, -1), (-3, 2)):
+        with pytest.raises(ValueError):
+            shift_profile(n, m)
+        with pytest.raises(ValueError):
+            d_shift_generic(n, m)
+    with pytest.raises(ValueError):
+        d_shift_generic(3, 2, "bogus")
 
 
 def test_lambda_profile_examples():
-    assert [lambda_profile(n).get(2) for n in range(8)] == [0, 0, 0, 2, 4, 2, 0, 0]
-    assert lambda_profile(11).entries == {0: 1, 2: 2, 3: 2, 4: 6}
-    assert lambda_profile(0).entries == {}
+    assert [shift_profile(n, 0).get(2, 0) for n in range(8)] == [0, 0, 0, 2, 4, 2, 0, 0]
+    assert shift_profile(11, 0) == {0: 1, 2: 2, 3: 2, 4: 6}
+    assert shift_profile(0, 0) == {}
 
 
 def test_lambda_profile_periodic():
     for k in range(6):
         period = 1 << (k + 1)
         for n in range(512):
-            assert lambda_profile(n).get(k) == lambda_profile(n % period).get(k)
+            assert shift_profile(n, 0).get(k, 0) == shift_profile(n % period, 0).get(k, 0)
 
 
 def test_mu_profile_examples():
-    assert mu_profile(11).entries == {2: 3, 3: 1, 4: 7}
-    assert mu_profile(0).entries == {}
+    assert shift_profile(11, 1) == {2: 3, 3: 1, 4: 7}
+    assert shift_profile(0, 1) == {}
     for k in range(2, 9):
-        assert mu_profile((1 << k) - 1).entries == {k: (1 << k) - 1}
+        assert shift_profile((1 << k) - 1, 1) == {k: (1 << k) - 1}
 
 
 def test_profile_signs_match_determinant_signs():
     for n in range(10001):
-        assert lambda_profile(n).sign() == d_sign(n)
-        assert mu_profile(n).sign() == D_sign(n)
+        assert generic_d(n).monomial_parts()[0] == d_sign(n)
+        assert generic_D(n).monomial_parts()[0] == D_sign(n)
 
 
 def test_generic_d_printed_values():
@@ -417,8 +469,9 @@ def test_d_shift_against_oracle():
             assert det_oracle(mat_int) == d_shift_int(n, m), (n, m)
     for m in range(2, 65):
         for n in range(0, 49):
-            mat_sym = build_matrix(SequenceRule("generic", m), n)
-            assert det_oracle(mat_sym) == d_shift_generic(n, m), (n, m)
+            sym = det_oracle(build_matrix(SequenceRule("generic", m), n))
+            for method in ("profile", "recurrence"):
+                assert sym == d_shift_generic(n, m, method), (n, m, method)
 
 
 def test_d_shift_against_oracle_wide_shifts():
