@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -31,10 +32,12 @@ from .hankel import (
     moment_orthogonality,
 )
 
-# largest n each determinant engine takes, in `bench` and `det` alike, and
-# the largest --to of `table --seq b`, whose recurrence caches every index
-# up to n (about 140 MiB at 10^6)
-GUARDS = {"closed": 10**9, "bareiss": 2048, "cofactor": 48, "nonsquash": 10**6}
+# largest n each determinant engine takes, in `bench` and `det` alike; the
+# largest --to of `table --seq b`, whose recurrence caches every index up to
+# n (about 140 MiB at 10^6); and the largest n `verify --suite oracle` checks
+# an integer rule at, and Bareiss against cofactor at
+GUARDS = {"closed": 10**9, "bareiss": 2048, "cofactor": 48, "nonsquash": 10**6,
+          "verify_bareiss": 512, "verify_cross": 64}
 
 
 class UsageError(Exception):
@@ -149,10 +152,8 @@ def cmd_table(ns) -> int:
 
 def _oracle_cap(sr: SequenceRule) -> int:
     """Largest n the oracle suite checks: symbolic rules up to the cofactor
-    guard; integer rules at shifts >= 2 cost more than Bareiss at 0 and 1."""
-    if sr.symbolic:
-        return GUARDS["cofactor"]
-    return 48 if sr.shift >= 2 else 512
+    guard, integer rules at every shift up to the same Bareiss cap."""
+    return GUARDS["cofactor"] if sr.symbolic else GUARDS["verify_bareiss"]
 
 
 def _suite_oracle(max_n: int, max_m: int, rng):
@@ -162,7 +163,7 @@ def _suite_oracle(max_n: int, max_m: int, rng):
             for n in range(min(max_n, _oracle_cap(sr)) + 1):
                 label = f"(n={n}, m={m}) {rule} {entry.method(m)} against the oracle"
                 yield label, entry.value(n, m), det_oracle(build_matrix(sr, n))
-    for n in range(min(max_n, 64) + 1):
+    for n in range(min(max_n, GUARDS["verify_cross"]) + 1):
         mat = build_matrix(SequenceRule("unit", 0), n)
         yield f"(n={n}) bareiss against cofactor", det_oracle(mat, "bareiss"), det_oracle(mat, "cofactor")
 
@@ -344,7 +345,7 @@ def _timed(fn, repeats: int = 3):
 def cmd_bench(ns) -> int:
     entry, sr, engine = _det_request(ns)
     if engine == "closed":
-        value, elapsed = _timed(lambda: entry.value(ns.n, ns.m))
+        value, elapsed = _timed(functools.partial(entry.value, ns.n, ns.m))
     else:
         value, elapsed = _timed(lambda: det_oracle(build_matrix(sr, ns.n), engine))
     print(f"engine={engine} rule={ns.rule} m={ns.m} n={ns.n} elapsed_ns={elapsed} value={value}")

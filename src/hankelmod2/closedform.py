@@ -19,7 +19,6 @@ is Theta(log^2 n) bits of output, and costs about that much.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from . import seq
@@ -39,7 +38,7 @@ def d_sign(n: int) -> int:
     """(-1)^C(n,2): the Hankel determinant sign of the unshifted sequence."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _pm(_binom2_parity(n))
+    return -1 if n & 2 else 1  # C(n, 2) is odd iff bit 1 of n is set
 
 
 D_METHODS = ("delta", "recurrence", "paperfolding-product")
@@ -74,7 +73,6 @@ def D_sign(n: int, method: str = "delta") -> int:
 T_METHODS = ("ratio", "recurrence", "structural", "nonsquash")
 
 _T_CACHE: dict[int, int] = {0: 1, 1: -1}
-_T_LOCK = threading.Lock()
 
 
 def _t_recurrence(n: int) -> int:
@@ -82,24 +80,23 @@ def _t_recurrence(n: int) -> int:
     because the even rule chains down through consecutive even indices."""
     if n in _T_CACHE:
         return _T_CACHE[n]
-    with _T_LOCK:
-        stack = [n]
-        while stack:
-            k = stack[-1]
-            if k in _T_CACHE:
-                stack.pop()
-                continue
-            deps = (k - 1,) if k & 1 else (k - 1, (k >> 1) - 1)
-            missing = [d for d in deps if d not in _T_CACHE]
-            if missing:
-                stack.extend(missing)
-                continue
-            if k & 1:
-                _T_CACHE[k] = -_T_CACHE[k - 1]
-            else:
-                _T_CACHE[k] = _T_CACHE[k - 1] * _T_CACHE[(k >> 1) - 1]
+    stack = [n]
+    while stack:
+        k = stack[-1]
+        if k in _T_CACHE:
             stack.pop()
-        return _T_CACHE[n]
+            continue
+        deps = (k - 1,) if k & 1 else (k - 1, (k >> 1) - 1)
+        missing = [d for d in deps if d not in _T_CACHE]
+        if missing:
+            stack.extend(missing)
+            continue
+        if k & 1:
+            _T_CACHE[k] = -_T_CACHE[k - 1]
+        else:
+            _T_CACHE[k] = _T_CACHE[k - 1] * _T_CACHE[(k >> 1) - 1]
+        stack.pop()
+    return _T_CACHE[n]
 
 
 def _t_structural(n: int) -> int:

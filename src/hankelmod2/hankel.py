@@ -3,7 +3,12 @@
 The matrices here have entry(i, j) nonzero exactly when i + j + m + 1 is a
 power of two, so every row carries at most ~log2(2n + m) nonzeros.  Both
 oracles (fraction-free Bareiss over integers, sparse cofactor expansion
-over polynomials) exploit that.
+over polynomials) exploit that.  On the integer rules the whole Bareiss path
+is close to linear in n: ``build_matrix`` asks the rule for only the
+O(log n) power-of-two antidiagonals, ``rows()`` writes each nonzero once,
+elimination updates rows in place (pivots are +-1 and rows stay short), and
+the sign of the row selection is a cycle count.  Neither oracle imports a
+closed form or falls back to one.
 """
 
 from __future__ import annotations
@@ -103,83 +108,113 @@ class HankelMatrix:
 
 
 def build_matrix(rule: SequenceRule, n: int) -> HankelMatrix:
-    """Matrix with entry(i, j) given by the rule at antidiagonal i + j."""
+    """Matrix with entry(i, j) given by the rule at antidiagonal i + j.
+
+    Only the antidiagonals t = 2^k - m - 1 in [0, 2n - 1) can be nonzero, so
+    just those O(log n) are asked of the rule.
+    """
     if n < 0:
         raise ValueError("size must be nonnegative")
     diagonals: dict[int, object] = {}
-    for t in range(2 * n - 1):
+    m = rule.shift
+    power = 1 << m.bit_length()  # smallest power of two above m
+    while power - m - 1 < 2 * n - 1:
+        t = power - m - 1
         v = rule.value_at(t)
         if v is not None:
             diagonals[t] = v
+        power <<= 1
     return HankelMatrix(n, rule, diagonals)
 
 
 def _perm_parity(seq) -> int:
-    """+1/-1 parity of a permutation given as an image list."""
-    inv = 0
-    for a, b in itertools.combinations(seq, 2):
-        if a > b:
-            inv += 1
-    return -1 if inv & 1 else 1
+    """+1/-1 parity of a permutation of range(n) given as an image list.
+
+    (-1)^(n - #cycles): one pass over the cycles, O(n).
+    """
+    n = len(seq)
+    seen = bytearray(n)
+    cycles = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        cycles += 1
+        i = start
+        while not seen[i]:
+            seen[i] = 1
+            i = seq[i]
+    return -1 if (n - cycles) & 1 else 1
 
 
 def _bareiss_sparse(rows: list[dict[int, int]]) -> int:
     """Fraction-free Bareiss elimination on sparse integer rows.
 
-    Row swaps are tracked through the selection permutation; rows untouched
-    by a pivot keep a stage marker so the Bareiss rescaling (every entry is
-    an exact minor) is applied lazily.  Bit-exact, arbitrary precision.
+    Each column's pivot is its sparsest remaining row (lowest index on ties);
+    row swaps are tracked through the selection permutation.  Rows untouched
+    by a pivot keep a stage marker, so the Bareiss rescaling (every entry is
+    an exact minor) is applied lazily.  Rows are updated in place and a
+    column index maps each column to the non-pivot rows that hold it, so one
+    step costs O(candidates x row length): on the power-of-two Hankel
+    matrices (O(log n) nonzeros a row, pivots +-1) the whole elimination is
+    close to linear in n.  Bit-exact, arbitrary precision.
     """
     n = len(rows)
     if n == 0:
         return 1
     rows = [dict(r) for r in rows]
-    col_rows: dict[int, set[int]] = {}
+    col_rows: list[set[int]] = [set() for _ in range(n)]
     for i, r in enumerate(rows):
         for j in r:
-            col_rows.setdefault(j, set()).add(i)
+            col_rows[j].add(i)
     stage_piv = [1] * n  # previous-pivot value at each row's stage
     prev = 1
-    used = [False] * n
     chosen: list[int] = []
     for c in range(n):
-        cand = [i for i in col_rows.get(c, ()) if not used[i]]
+        cand = col_rows[c]  # the non-pivot rows with an entry in column c
         if not cand:
             return 0
-        i0 = min(cand, key=lambda i: (len(rows[i]), i))
-        used[i0] = True
+        if len(cand) == 1:
+            i0 = cand.pop()
+        else:
+            i0 = min(cand, key=lambda i: (len(rows[i]), i))
+            cand.discard(i0)
         chosen.append(i0)
-        if stage_piv[i0] != prev:
-            den = stage_piv[i0]
-            rows[i0] = {j: (v * prev) // den for j, v in rows[i0].items()}
         pivot_row = rows[i0]
-        p = pivot_row[c]
-        for i in [x for x in cand if x != i0]:
+        for j in pivot_row:
+            col_rows[j].discard(i0)
+        den = stage_piv[i0]
+        if not cand:
+            prev = pivot_row[c] if den == prev else (pivot_row[c] * prev) // den
+            continue
+        if den != prev:
+            for j, v in pivot_row.items():
+                pivot_row[j] = (v * prev) // den
+        p = pivot_row.pop(c)
+        for i in cand:
+            ri = rows[i]
             if stage_piv[i] != prev:
                 den = stage_piv[i]
-                rows[i] = {j: (v * prev) // den for j, v in rows[i].items()}
-            ri = rows[i]
+                for j, v in ri.items():
+                    ri[j] = (v * prev) // den
             f = ri.pop(c)
-            col_rows[c].discard(i)
-            new: dict[int, int] = {}
-            for j, v in ri.items():
-                new[j] = v * p
+            if p != 1:
+                for j, v in ri.items():
+                    ri[j] = v * p
             for j, w in pivot_row.items():
-                if j == c:
-                    continue
-                nv = new.get(j, 0) - f * w
-                if nv:
-                    new[j] = nv
-                elif j in new:
-                    del new[j]
+                v = ri.get(j)
+                if v is None:
+                    ri[j] = -f * w
+                    col_rows[j].add(i)
+                else:
+                    v -= f * w
+                    if v:
+                        ri[j] = v
+                    else:
+                        del ri[j]
+                        col_rows[j].discard(i)
             if prev != 1:
-                for j in new:
-                    new[j] //= prev
-            for j in ri.keys() - new.keys():
-                col_rows[j].discard(i)
-            for j in new.keys() - ri.keys():
-                col_rows.setdefault(j, set()).add(i)
-            rows[i] = new
+                for j, v in ri.items():
+                    ri[j] = v // prev
             stage_piv[i] = p
         prev = p
     return _perm_parity(chosen) * prev

@@ -11,8 +11,6 @@ bit, and ``nonsquash_b`` fills a cache of every index up to n.
 
 from __future__ import annotations
 
-import threading
-
 
 def _check_nonneg(n: int) -> None:
     if n < 0:
@@ -104,10 +102,8 @@ def digit_sum(n: int) -> int:
     return n.bit_count()
 
 
-# Cache of non-squashing partition counts; append-only, values are pure, so
-# a racing recomputation is harmless.
+# Cache of non-squashing partition counts; append-only, values are pure.
 _B_CACHE: dict[int, int] = {2: 1, 3: 2}
-_B_LOCK = threading.Lock()
 
 
 def nonsquash_b(n: int) -> int:
@@ -121,24 +117,23 @@ def nonsquash_b(n: int) -> int:
         raise ValueError(f"b(n) is defined for n >= 2, got {n}")
     if n in _B_CACHE:
         return _B_CACHE[n]
-    with _B_LOCK:
-        stack = [n]
-        while stack:
-            k = stack[-1]
-            if k in _B_CACHE:
-                stack.pop()
-                continue
-            if k & 1:
-                deps = (k - 1,)
-            else:
-                deps = (k - 1, k >> 1)
-            missing = [d for d in deps if d not in _B_CACHE]
-            if missing:
-                stack.extend(missing)
-                continue
-            if k & 1:
-                _B_CACHE[k] = _B_CACHE[k - 1] + 1
-            else:
-                _B_CACHE[k] = _B_CACHE[k - 1] + _B_CACHE[k >> 1] - 1
+    stack = [n]
+    while stack:
+        k = stack[-1]
+        if k in _B_CACHE:
             stack.pop()
-        return _B_CACHE[n]
+            continue
+        if k & 1:
+            deps = (k - 1,)
+        else:
+            deps = (k - 1, k >> 1)
+        missing = [d for d in deps if d not in _B_CACHE]
+        if missing:
+            stack.extend(missing)
+            continue
+        if k & 1:
+            _B_CACHE[k] = _B_CACHE[k - 1] + 1
+        else:
+            _B_CACHE[k] = _B_CACHE[k - 1] + _B_CACHE[k >> 1] - 1
+        stack.pop()
+    return _B_CACHE[n]

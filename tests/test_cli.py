@@ -225,6 +225,17 @@ def test_verify_reports_check_counts(capsys):
     assert code == 0 and out == f"ok oracle ({4 * 3 * 5 + 2 * 5 + 5} checks)\n"
 
 
+def test_verify_oracle_caps_come_from_the_guard_table(capsys, monkeypatch):
+    # integer rules at every shift stop at the Bareiss cap, symbolic rules at
+    # the cofactor guard, the Bareiss-against-cofactor check at its own cap
+    monkeypatch.setitem(GUARDS, "verify_bareiss", 7)
+    monkeypatch.setitem(GUARDS, "cofactor", 5)
+    monkeypatch.setitem(GUARDS, "verify_cross", 3)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--max-n", "10", "--max-m", "2")
+    unit, grs, symbolic, cross = 3 * 8, 2 * 8, 3 * 3 * 6, 4
+    assert code == 0 and out == f"ok oracle ({unit + grs + symbolic + cross} checks)\n"
+
+
 def test_verify_cf_renders_a_failed_identity(capsys, monkeypatch):
     real = contfrac.identity_spec
 

@@ -156,6 +156,115 @@ def test_bareiss_and_cofactor_on_random_dense_matrices():
         assert _cofactor_sparse(rows) == brute, (trial, dense)
 
 
+def test_perm_parity_counts_cycles_like_inversions():
+    # the inversion count (_parity) is the O(n^2) reference for the cycle count
+    import random
+
+    from hankelmod2.hankel import _perm_parity
+
+    for n in range(8):
+        for perm in _perms(n):
+            assert _perm_parity(perm) == _parity(perm), perm
+    rng = random.Random(0xC7C1E)
+    for n in [2048, 2047] + [rng.randrange(8, 2049) for _ in range(6)]:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert _perm_parity(perm) == _parity(perm), n
+
+
+def _fraction_det(dense):
+    """Gaussian elimination over Fraction with row swaps: the dense reference."""
+    n = len(dense)
+    a = [[Fraction(x) for x in row] for row in dense]
+    det = Fraction(1)
+    for c in range(n):
+        r0 = next((r for r in range(c, n) if a[r][c]), None)
+        if r0 is None:
+            return 0
+        if r0 != c:
+            a[c], a[r0] = a[r0], a[c]
+            det = -det
+        det *= a[c][c]
+        pivot = [(j, a[c][j]) for j in range(c + 1, n) if a[c][j]]
+        for r in range(c + 1, n):
+            if a[r][c]:
+                f = a[r][c] / a[c][c]
+                for j, v in pivot:
+                    a[r][j] -= f * v
+    assert det.denominator == 1
+    return det.numerator
+
+
+def test_bareiss_against_fraction_elimination_on_sparse_matrices():
+    # larger and sparser than the dense test above: non-unit pivots, lazy
+    # rescaling of rows several stages behind, fill-in and cancellation
+    import random
+
+    from hankelmod2.hankel import _bareiss_sparse
+
+    rng = random.Random(0x5BA2E)
+    big, singular = 0, 0
+    for trial in range(240):
+        n = rng.randrange(0, 41)
+        density = rng.choice((0.05, 0.1, 0.2, 0.4))
+        dense = [[rng.randrange(-9, 10) if rng.random() < density else 0
+                  for _ in range(n)] for _ in range(n)]
+        # keep most matrices nonsingular-looking: a random permutation of
+        # nonzeros under the noise
+        if n and trial % 4:
+            for i, j in enumerate(rng.sample(range(n), n)):
+                dense[i][j] = dense[i][j] or rng.choice((-3, -2, -1, 1, 2, 3))
+        if n >= 2 and trial % 7 == 0:  # singular: one row a multiple of another
+            i, k = rng.sample(range(n), 2)
+            f = rng.choice((-2, -1, 1, 3))
+            dense[k] = [f * x for x in dense[i]]
+        rows = [{j: v for j, v in enumerate(row) if v} for row in dense]
+        want = _fraction_det(dense)
+        assert _bareiss_sparse(rows) == want, (trial, dense)
+        assert rows == [{j: v for j, v in enumerate(row) if v} for row in dense]  # input untouched
+        big += abs(want) > 1
+        singular += want == 0
+    assert big > 120 and singular > 30, (big, singular)
+    assert _bareiss_sparse([{}, {}]) == 0
+    assert _bareiss_sparse([{0: 2, 1: 3}, {0: 4, 1: 6}]) == 0
+
+
+def _scan_diagonals(rule, n):
+    """Every antidiagonal t < 2n - 1 asked of the rule: the plain reference."""
+    diagonals = {}
+    for t in range(2 * n - 1):
+        v = rule.value_at(t)
+        if v is not None:
+            diagonals[t] = v
+    return diagonals
+
+
+def test_build_matrix_visits_exactly_the_nonzero_antidiagonals():
+    values = {k: 2 * k + 3 for k in range(10)}
+    n_max = 200
+    for m in range(71):
+        rules = [SequenceRule(kind, m) for kind in ("unit", "generic", "powers", "doubling")]
+        rules.append(SequenceRule("custom", m, values=values))
+        if m:
+            rules.append(SequenceRule("grs", m))
+        for rule in rules:
+            full = _scan_diagonals(rule, n_max)
+            for n in range(n_max + 1):
+                want = [(t, v) for t, v in full.items() if t < 2 * n - 1]
+                assert list(build_matrix(rule, n).diagonals.items()) == want, (rule, n)
+    # the rule's own errors still surface: grs has no x0, custom lacks x5
+    sparse = SequenceRule("custom", 3, values={k: 1 for k in range(5)})
+    for rule in (SequenceRule("grs", 0), sparse):
+        for n in range(40):
+            try:
+                want = _scan_diagonals(rule, n)
+            except (ValueError, KeyError) as exc:
+                with pytest.raises(type(exc)):
+                    build_matrix(rule, n)
+            else:
+                assert build_matrix(rule, n).diagonals == want
+
+
 def test_nimble_examples():
     assert nimble_solve(5, 0) == SignedPermutation((0, 2, 1, 4, 3), 1)
     assert nimble_solve(4, 1).images == (2, 1, 0, 3)
