@@ -34,10 +34,12 @@ from .hankel import (
 
 # largest n each determinant engine takes, in `bench` and `det` alike; the
 # largest --to of `table --seq b`, whose recurrence caches every index up to
-# n (about 140 MiB at 10^6); and the largest n `verify --suite oracle` checks
-# an integer rule at, and Bareiss against cofactor at
+# n (about 140 MiB at 10^6); the largest n `verify --suite oracle` checks
+# an integer rule at, and Bareiss against cofactor at; the largest index of
+# `verify --suite orthogonality`; and the largest n of the Hankel-ratio
+# checks in `verify --suite cf`
 GUARDS = {"closed": 10**9, "bareiss": 2048, "cofactor": 48, "nonsquash": 10**6,
-          "verify_bareiss": 512, "verify_cross": 64}
+          "verify_bareiss": 512, "verify_cross": 64, "orthogonality": 20, "h_ratio": 20}
 
 
 class UsageError(Exception):
@@ -181,6 +183,13 @@ def _suite_methods(max_n: int, max_m: int, rng):
         for m in range(max_m + 1):
             yield (f"(n={n}, m={m}) d profile against recurrence",
                    cf.d_shift_generic(n, m, "profile"), cf.d_shift_generic(n, m, "recurrence"))
+        for m in range(2, max_m + 1):
+            blocks = cf.nimble_blocks(n, m)
+            yield (f"(n={n}, m={m}) d_shift_int against the block fold", cf.d_shift_int(n, m),
+                   0 if blocks is None else cf.blocks_sign(blocks))
+        for name, ratio, det in (("T", cf.generic_T, cf.generic_D), ("t", cf.generic_t, cf.generic_d)):
+            yield (f"(n={n}) generic {name} against the profile quotient",
+                   ratio(n), det(n) * det(n + 2) / det(n + 1) ** 2)
 
 
 def _suite_reflect(max_n: int, max_m: int, rng):
@@ -222,21 +231,22 @@ def _suite_cf(max_n: int, max_m: int, rng):
         hi = contfrac.cf_expand(contfrac.CFSpec.s_fraction(coeffs), n)
         yield f"depth sufficiency (trial {trial})", lo, hi
     # Favard t against Hankel determinant ratios of the base sequence
-    for n in range(21):
+    for n in range(GUARDS["h_ratio"] + 1):
         h = [det_oracle(build_matrix(SequenceRule("unit", 0), k)) for k in (n, n + 1, n + 2)]
         yield f"(n={n}) H-ratio t against favard", Fraction(h[0] * h[2], h[1] ** 2), cf.favard_st(n)[1]
 
 
 def _suite_orthogonality(max_n: int, max_m: int, rng):
-    cap = min(max_n, 20)
+    guard = GUARDS["orthogonality"]
+    cap = min(max_n, guard)
     for i in range(cap + 1):
         for j in range(i + 1, cap + 1):
-            yield f"(i={i}, j={j}) off-diagonal moment", moment_orthogonality(i, j), 0
+            yield f"(i={i}, j={j}) off-diagonal moment", moment_orthogonality(i, j, guard), 0
     for n in range(cap + 1):
         expect = 1
         for k in range(n):
             expect *= cf.T_int(k)
-        yield f"(n={n}) diagonal moment against the T-product", moment_orthogonality(n, n), expect
+        yield f"(n={n}) diagonal moment against the T-product", moment_orthogonality(n, n, guard), expect
 
 
 def _suite_parity(max_n: int, max_m: int, rng):
@@ -268,6 +278,20 @@ def run_suite(name: str, max_n: int, max_m: int, rng) -> tuple[int, list[str]]:
     return checks, bad
 
 
+def run_conjecture(shifts, max_n: int) -> tuple[int, list[str]]:
+    """(checks run, failure lines) of the shifted-sign lemma at each shift,
+    printing one conjecture-scan line per shift."""
+    checks, bad = 0, []
+    for m in shifts:
+        report = cf.conjecture38_scan(m, max_n)
+        eps = "" if report.epsilon is None else f" eps={report.epsilon}"
+        status = "conforms" if report.conforms else "violates"
+        print(f"conjecture-scan m={m} max_n={report.max_n}: {status}{eps}")
+        checks += report.checks
+        bad.extend(report.violations)
+    return checks, bad
+
+
 def cmd_verify(ns) -> int:
     if ns.max_n < 1:
         raise UsageError("--max-n must be at least 1")
@@ -287,18 +311,10 @@ def cmd_verify(ns) -> int:
         names = [ns.suite]
     for name in names:
         if name == "conjecture":
-            shifts = [ns.m] if ns.m is not None else [m for m in range(3, ns.max_m + 1)]
-            if not shifts:
-                shifts = [3, 4]
-            for m in shifts:
-                report = cf.conjecture38_scan(m, ns.max_n)
-                eps = "" if report.epsilon is None else f" eps={report.epsilon}"
-                status = "conforms" if report.conforms else "violates"
-                print(f"conjecture-scan m={m} max_n={report.max_n}: {status}{eps}")
-                for v in report.violations:
-                    print(f"  {v}")
-            continue
-        checks, bad = run_suite(name, ns.max_n, ns.max_m, rng)
+            shifts = [ns.m] if ns.m is not None else range(2, ns.max_m + 1)
+            checks, bad = run_conjecture(shifts, ns.max_n)
+        else:
+            checks, bad = run_suite(name, ns.max_n, ns.max_m, rng)
         if bad:
             failures += len(bad)
             print(f"FAIL {name} ({len(bad)} checks): out of {checks}")

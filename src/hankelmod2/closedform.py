@@ -2,19 +2,21 @@
 
 Sign sequences d(n), D(n), T_n, the Favard coefficients, shifted
 determinants d(n, m), the exponent profile, the symbolic monomials, their
-specializations, and the empirical scanner for the shifted-determinant
-conjecture.  Every determinant is one signed permutation, so every
-symbolic d(n, m) is one monomial whose exponents form one tent table,
-``shift_profile(n, m)``, read off the digit edges of 2n + m; d(n) and
-D(n) are its shifts 0 and 1.  The ``recurrence`` methods and
-``d_shift_int`` at m >= 2 fold over the one interval-reversal block
+specializations, and the check of the shifted-sign lemma at the residue points.
+Every determinant is one signed permutation, so every symbolic d(n, m) is
+one monomial whose exponents form one tent table, ``shift_profile(n, m)``,
+read off the digit edges of 2n + m; d(n) and D(n) are its shifts 0 and 1.
+The ``recurrence`` methods fold over the one interval-reversal block
 construction, ``nimble_blocks``, which shares no code with the profile;
-nothing here calls a matrix oracle.  The signs take a constant number of
+nothing here calls a matrix oracle.  The signs, ``d_shift_int`` at every
+shift included (two popcounts of 2n + m), take a constant number of
 big-integer operations (``seq``'s word-parallel digit statistics) unless
-noted; the recursive cross-checks (``D_sign(n, "recurrence")``,
+noted; so do the T_n / t_n ratio monomials, whose few exponents sit at the
+tent's kinks.  The recursive cross-checks (``D_sign(n, "recurrence")``,
 ``T_int(n, "structural")``, ``nimble_blocks``) do a few big-integer
-operations per binary digit.  An exponent profile or a symbolic monomial
-is Theta(log^2 n) bits of output, and costs about that much.
+operations per binary digit.  An exponent profile or a symbolic
+determinant monomial is Theta(log^2 n) bits of output, and costs about
+that much.
 """
 
 from __future__ import annotations
@@ -192,17 +194,35 @@ def _blocks_monomial(blocks: list[tuple[int, int]] | None) -> LaurentPoly:
 
 
 def d_shift_int(n: int, m: int) -> int:
-    """Shifted Catalan-mod-2 Hankel determinant in {-1, 0, +1}.
+    """Shifted Catalan-mod-2 Hankel determinant in {-1, 0, +1}, in a
+    constant number of big-integer operations.
 
-    m = 0 and m = 1 delegate to the closed signs ``d_sign`` / ``D_sign``;
-    for m >= 2 it is the product of the ``nimble_blocks`` signs, or 0.
+    m = 0 and m = 1 return the closed signs ``d_sign`` / ``D_sign``.  For
+    m >= 2, d(n, m) is 0 off ``shift_support``.  On it, the sign is
+    (-1)^sum C(e_k, 2) over the tent table of ``shift_profile``, and
+    C(e, 2) is odd iff bit 1 of e is set.  Every k in that table has
+    h = 2^k > m >= 2, so h >= 4 and e_k mod 4 depends on Y = 2n + m alone:
+    bits (k+1, k) of Y equal to 01 give e_k = Y mod h, which is Y mod 4
+    (mod 4); bits 10 give e_k = h - (Y mod h), which is -Y mod 4; other
+    pairs give 0.  With s = bl(m), a = bit 1 of Y and b = bit 1 of -Y, the
+    parity is a * popcount((Y & ~(Y >> 1)) >> s) + b * popcount((~Y & (Y >> 1)) >> s).
     """
     if m == 0:
         return d_sign(n)
     if m == 1:
         return D_sign(n)
-    blocks = nimble_blocks(n, m)
-    return 0 if blocks is None else blocks_sign(blocks)
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be nonnegative")
+    if not shift_support(n, m):
+        return 0
+    y = 2 * n + m
+    s = m.bit_length()
+    parity = 0
+    if y & 2:
+        parity += ((y & ~(y >> 1)) >> s).bit_count()
+    if -y & 2:
+        parity += ((~y & (y >> 1)) >> s).bit_count()
+    return _pm(parity)
 
 
 def shift_support(n: int, m: int) -> bool:
@@ -290,15 +310,35 @@ def generic_D(n: int, method: str = "profile") -> LaurentPoly:
     return d_shift_generic(n, 1, method)
 
 
+def _tent(y: int, h: int) -> int:
+    """max(0, h - |w - 2h|) with w = y mod 4h: the exponent of x_{h-1} at Y = y."""
+    return max(0, h - abs((y & (4 * h - 1)) - 2 * h))
+
+
 def _profile_ratio(m: int, n: int) -> LaurentPoly:
-    """d(n, m) d(n+2, m) / d(n+1, m)^2, summed as exponent dicts (m < 2)."""
-    lo, mid, hi = (shift_profile(n + i, m) for i in range(3))
-    exps = dict(lo)
-    for k, e in hi.items():
-        exps[k] = exps.get(k, 0) + e
-    for k, e in mid.items():
-        exps[k] = exps.get(k, 0) - 2 * e
-    return LaurentPoly.monomial(_profile_sign(lo) * _profile_sign(hi), exps)
+    """d(n, m) d(n+2, m) / d(n+1, m)^2 for m < 2, in O(1 + t) big-integer
+    operations, t the trailing run of ones of Y = 2n + m.
+
+    The exponent at k is the second difference e_k(Y) + e_k(Y+4) - 2 e_k(Y+2)
+    of the tent max(0, h - |w - 2h|), h = 2^k, w = Y mod 4h.  The tent is
+    linear except at its kinks w = h, 2h, 3h, all multiples of h, so the
+    difference is 0 unless one lies strictly between w and w + 4, that is
+    unless Y mod h > h - 4.  For h >= 4, once that fails it fails at 2h too
+    (Y mod 2h <= h + Y mod h), so the loop stops there.  The sign of the
+    ratio is d(n, m) d(n+2, m).
+    """
+    sign = d_shift_int(n, m) * d_shift_int(n + 2, m)  # also rejects n < 0
+    y = 2 * n + m
+    exps = {}
+    k = m.bit_length()
+    h = 1 << k
+    while h < 4 or (y & (h - 1)) > h - 4:
+        e = _tent(y, h) + _tent(y + 4, h) - 2 * _tent(y + 2, h)
+        if e:
+            exps[k] = e
+        k += 1
+        h <<= 1
+    return LaurentPoly.monomial(sign, exps)
 
 
 def generic_T(n: int) -> LaurentPoly:
@@ -362,7 +402,7 @@ def specialize_det(kind: str, shifted: bool, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Conjectured closed forms for shifted determinants (reported, not asserted)
+# The shifted-sign lemma at the residue points
 # ---------------------------------------------------------------------------
 
 
@@ -372,16 +412,34 @@ class ConjectureReport:
     K: int
     max_n: int
     conforms: bool
-    epsilon: int | None  # fitted constant for odd m, None for even m
+    epsilon: int | None  # the derived constant for odd m, None for even m
     violations: tuple[str, ...] = ()
+    checks: int = 0
+
+
+def conjecture_epsilon(m: int) -> int:
+    """eps(m) for odd m >= 3: the parity of the number of runs of ones in
+    2^{K+1} - m (see ``conjecture38_scan``)."""
+    r = (1 << (_shift_class(m) + 1)) - m
+    return (r & ~(r >> 1)).bit_count() & 1
 
 
 def conjecture38_scan(m: int, max_n: int) -> ConjectureReport:
-    """Scan the conjectured values of d(2^{K+1} n, m) and d(2^{K+1} n - m, m).
+    """Check d(P n, m) and d(P n - m, m), P = 2^{K+1}, for 1 <= n <= max_n.
 
-    Even m: checks d(2^{K+1} n, m) = 1 and d(2^{K+1} n - m, m) = (-1)^r.
-    Odd m: checks agreement with the shift-1 signs up to a fitted constant
-    epsilon in {0, 1}.  The result is an empirical report only.
+    The forms follow from the two-popcount sign of ``d_shift_int``
+    (s = bl(m), a = bit 1 of Y, b = bit 1 of -Y).  For m >= 3, Y >> s is
+    2n at P n and 2n - 1 at P n - m; for m = 2 it is n and n - 1.
+    Even m: a = b = 0 when 4 | m, so both values are +1; otherwise
+    a = b = 1 and the parity is the number of digit edges of Y >> s, which
+    is the parity of its last bit.  So d(P n, m) = 1 and
+    d(P n - m, m) = (-1)^{m/2}, except at m = 2, where the values are
+    (-1)^n and (-1)^{n+1}.
+    Odd m: one of a, b is 1 and the count is the runs of ones of Y >> s,
+    one fewer for b at an odd Y >> s.  Against the shift-1 sign this gives
+    d(P n, m) = D(P n) and d(P n - m, m) = (-1)^{n + eps} D(P n - m), with
+    eps = ``conjecture_epsilon(m)``.  Each check compares ``d_shift_int``
+    with these forms; D comes from ``D_sign``'s digit-pair count.
     """
     if m < 2:
         raise ValueError("scan is defined for m >= 2")
@@ -389,28 +447,24 @@ def conjecture38_scan(m: int, max_n: int) -> ConjectureReport:
         raise ValueError("max_n must be positive")
     K = _shift_class(m)
     period = 1 << (K + 1)
+    epsilon = conjecture_epsilon(m) if m % 2 else None
     violations: list[str] = []
-    epsilon: int | None = None
     for n in range(1, max_n + 1):
         at_zero = d_shift_int(period * n, m)
         at_shift = d_shift_int(period * n - m, m)
-        if m % 2 == 0:
-            r = m // 2
-            if at_zero != 1:
-                violations.append(f"d({period * n}, {m}) = {at_zero} != 1")
-            if at_shift != _pm(r & 1):
-                violations.append(f"d({period * n - m}, {m}) = {at_shift} != (-1)^{r}")
+        if epsilon is None:
+            want_zero, want_shift = (_pm(n), _pm(n + 1)) if m == 2 else (1, _pm(m // 2))
+            if at_zero != want_zero:
+                violations.append(f"d({period * n}, {m}) = {at_zero} != {want_zero}")
+            if at_shift != want_shift:
+                violations.append(f"d({period * n - m}, {m}) = {at_shift} != {want_shift}")
         else:
             ref_zero = D_sign(period * n)
             if at_zero != ref_zero:
                 violations.append(f"d({period * n}, {m}) = {at_zero} != d(., 1) = {ref_zero}")
-            ref_shift = D_sign(period * n - m)
-            # at_shift = (-1)^(n + eps) * ref_shift fixes eps; check stability
-            eps_here = 0 if at_shift == _pm(n & 1) * ref_shift else 1
-            if epsilon is None:
-                epsilon = eps_here
-            elif eps_here != epsilon:
+            ref_shift = _pm(n + epsilon) * D_sign(period * n - m)
+            if at_shift != ref_shift:
                 violations.append(
-                    f"epsilon flips at n = {n}: {eps_here} vs fitted {epsilon}"
+                    f"d({period * n - m}, {m}) = {at_shift} != (-1)^(n + {epsilon}) d(., 1) = {ref_shift}"
                 )
-    return ConjectureReport(m, K, max_n, not violations, epsilon, tuple(violations))
+    return ConjectureReport(m, K, max_n, not violations, epsilon, tuple(violations), 2 * max_n)

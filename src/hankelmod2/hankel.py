@@ -406,10 +406,13 @@ def orthopoly(n: int, t_values=None) -> UniPoly:
     return p_cur
 
 
-def moment_orthogonality(i: int, j: int) -> int:
-    """L(p_i p_j) with moments L(x^t) = A_t = bit_a(t + 1); zero for i != j."""
-    if i > 20 or j > 20:
-        raise ValueError("moment check is guarded to indices <= 20")
+def moment_orthogonality(i: int, j: int, cap: int = 20) -> int:
+    """L(p_i p_j) with moments L(x^t) = A_t = bit_a(t + 1); zero for i != j.
+
+    Indices above ``cap`` are rejected; ``verify`` passes its guard-table cap.
+    """
+    if i > cap or j > cap:
+        raise ValueError(f"moment check is guarded to indices <= {cap}")
     prod = orthopoly(i) * orthopoly(j)
     return sum(c * bit_a(t + 1) for t, c in enumerate(prod.coeffs))
 

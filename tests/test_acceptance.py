@@ -179,7 +179,7 @@ def test_criterion_11_conjecture_scan():
             fitted[m] = report.epsilon
             # stability: a shorter scan fits the same constant
             assert conjecture38_scan(m, 16).epsilon == report.epsilon, m
-    _report(11, f"scans conform for m = 3..16; fitted eps = {fitted} (reported, not asserted)")
+    _report(11, f"scans conform for m = 3..16; eps = {fitted}")
 
 
 def test_criterion_12_performance(capsys):

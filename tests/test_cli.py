@@ -236,6 +236,43 @@ def test_verify_oracle_caps_come_from_the_guard_table(capsys, monkeypatch):
     assert code == 0 and out == f"ok oracle ({unit + grs + symbolic + cross} checks)\n"
 
 
+def test_verify_orthogonality_and_h_ratio_caps_come_from_the_guard_table(capsys, monkeypatch):
+    monkeypatch.setitem(GUARDS, "orthogonality", 5)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "orthogonality", "--max-n", "10")
+    assert code == 0 and out == f"ok orthogonality ({6 * 5 // 2 + 6} checks)\n"
+    # raising the cap raises the library's own index guard with it
+    monkeypatch.setitem(GUARDS, "orthogonality", 22)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "orthogonality", "--max-n", "22")
+    assert code == 0 and out == f"ok orthogonality ({23 * 22 // 2 + 23} checks)\n"
+    # three identities, eight depth-sufficiency trials, then n = 0..cap
+    monkeypatch.setitem(GUARDS, "h_ratio", 3)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cf", "--max-n", "10")
+    assert code == 0 and out == f"ok cf ({3 + 8 + 4} checks)\n"
+
+
+def test_verify_conjecture_checks_m2_and_counts(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "conjecture", "--m", "2", "--max-n", "8")
+    assert code == 0
+    assert out == "conjecture-scan m=2 max_n=8: conforms\nok conjecture (16 checks)\n"
+    # without --m every shift 2..--max-m is scanned
+    code, out, _ = run_cli(capsys, "verify", "--suite", "conjecture", "--max-n", "4", "--max-m", "5")
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()[:-1]] == ["m=2", "m=3", "m=4", "m=5"]
+    assert out.endswith(f"ok conjecture ({4 * 2 * 4} checks)\n")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "conjecture", "--max-n", "4", "--max-m", "1")
+    assert code == 0 and out == "empty conjecture (0 checks at --max-n 4 --max-m 1)\n"
+
+
+def test_verify_conjecture_fails_on_a_wrong_sign(capsys, monkeypatch):
+    real = closedform.d_shift_int
+    monkeypatch.setattr(closedform, "d_shift_int", lambda n, m: -real(n, m) if n == 16 else real(n, m))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "conjecture", "--m", "4", "--max-n", "4")
+    assert code == 1
+    assert out == ("conjecture-scan m=4 max_n=4: violates\n"
+                   "FAIL conjecture (1 checks): out of 8\n"
+                   "  d(16, 4) = -1 != 1\n")
+
+
 def test_verify_cf_renders_a_failed_identity(capsys, monkeypatch):
     real = contfrac.identity_spec
 
@@ -256,7 +293,24 @@ def test_verify_all_gate(capsys):
     assert code == 0
     for name in ("oracle", "methods", "reflect", "ldlt", "cf", "orthogonality", "parity"):
         assert f"ok {name}" in out
-    assert "conjecture-scan" in out
+    assert "conjecture-scan m=2 max_n=32: conforms" in out and "ok conjecture" in out
+
+
+def test_verify_methods_checks_shifted_signs_and_ratio_monomials(capsys, monkeypatch):
+    # per n: D twice, T three times, profile at m = 0..2, d_shift_int at m = 2, T and t
+    code, out, _ = run_cli(capsys, "verify", "--suite", "methods", "--max-n", "8", "--max-m", "2")
+    assert code == 0 and out == f"ok methods ({9 * 11} checks)\n"
+    real_d, real_T = closedform.d_shift_int, closedform.generic_T
+    monkeypatch.setattr(closedform, "d_shift_int",
+                        lambda n, m: -real_d(n, m) if (n, m) == (4, 2) else real_d(n, m))
+    monkeypatch.setattr(closedform, "generic_T", lambda n: -real_T(n) if n == 3 else real_T(n))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "methods", "--max-n", "8", "--max-m", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        f"FAIL methods (2 checks): out of {9 * 11}",
+        f"  (n=3) generic T against the profile quotient: got {-real_T(3)}, want {real_T(3)}",
+        "  (n=4, m=2) d_shift_int against the block fold: got -1, want 1",
+    ]
 
 
 def test_verify_methods_nonsquash_guard(capsys, monkeypatch):

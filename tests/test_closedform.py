@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hankelmod2 import closedform
 from hankelmod2.closedform import (
     ConjectureReport,
     D_METHODS,
@@ -12,6 +13,7 @@ from hankelmod2.closedform import (
     T_int,
     blocks_sign,
     conjecture38_scan,
+    conjecture_epsilon,
     d_shift_generic,
     d_shift_int,
     d_sign,
@@ -326,9 +328,36 @@ def test_generic_ratios_match_monomial_arithmetic():
     for n in range(4097):
         assert generic_T(n) == generic_T_ratio(n), n
         assert generic_t(n) == generic_t_ratio(n), n
-    for n in _huge_inputs(13):
+    # 2n + m all ones, or close to it: the longest runs of kinks
+    all_ones = [(1 << bits) + d for bits in (64, 1000) for d in (-3, -2, -1, 0)]
+    for n in _huge_inputs(13) + all_ones:
         assert generic_T(n) == generic_T_ratio(n), n
         assert generic_t(n) == generic_t_ratio(n), n
+
+
+def _huge_with_trailing_ones():
+    """n of 10^3 to 10^4 bits whose low bits end in a run of ones of any length."""
+    return st.integers(1000, 10000).flatmap(
+        lambda bits: st.tuples(st.integers(1 << (bits - 1), (1 << bits) - 1),
+                               st.integers(0, bits))
+    ).map(lambda nt: nt[0] | ((1 << nt[1]) - 1))
+
+
+@given(_huge_with_trailing_ones())
+@settings(max_examples=20, deadline=None)
+def test_generic_ratios_match_monomial_arithmetic_at_huge_n(n):
+    # the kink loop runs once per trailing one of 2n + m
+    assert generic_T(n) == generic_T_ratio(n)
+    assert generic_t(n) == generic_t_ratio(n)
+    assert generic_T(n - 1) == generic_T_ratio(n - 1)
+
+
+def test_generic_ratios_reject_negative_n():
+    for ratio in (generic_T, generic_t):
+        with pytest.raises(ValueError):
+            ratio(-1)
+        with pytest.raises(ValueError):
+            ratio(-5)
 
 
 def test_generic_T_printed_values():
@@ -422,6 +451,32 @@ def test_d_shift_int_printed_lists():
     for n in range(0, 300):
         assert d_shift_int(2 * n, 2) == (-1) ** n
         assert d_shift_int(2 * n + 1, 2) == 0
+
+
+def _fold_sign(n, m):
+    blocks = nimble_blocks(n, m)
+    return 0 if blocks is None else blocks_sign(blocks)
+
+
+def test_d_shift_int_matches_block_fold():
+    for n in range(1 << 12):
+        for m in range(65):
+            assert d_shift_int(n, m) == _fold_sign(n, m), (n, m)
+
+
+@given(_huge_with_trailing_ones(), st.integers(2, 300), st.sampled_from((None, 0, 1)))
+@settings(max_examples=30, deadline=None)
+def test_d_shift_int_matches_block_fold_at_huge_n(n, m, point):
+    if point is not None:  # move n onto the support: 0 or -m mod 2^{K+1}
+        period = 1 << (m - 1).bit_length()
+        n -= n % period + (m if point else 0)
+    assert d_shift_int(n, m) == _fold_sign(n, m)
+
+
+def test_d_shift_int_rejects_negative_arguments():
+    for n, m in ((-1, 0), (-1, 1), (-1, 2), (-4, 3), (-3, 64), (0, -1), (5, -2)):
+        with pytest.raises(ValueError):
+            d_shift_int(n, m)
 
 
 def test_d_shift_int_delegates_small_shifts():
@@ -524,6 +579,32 @@ def test_conjecture_scan_odd_fits_epsilon():
     assert rep.conforms and rep.epsilon in (0, 1)
     again = conjecture38_scan(3, 32)
     assert again.epsilon == rep.epsilon  # stable fit
+
+
+def test_conjecture_scan_m2_has_its_own_form():
+    # d(2n, 2) = (-1)^n and d(2n - 2, 2) = (-1)^(n+1), not the +1 and -1 of
+    # the other shifts 2 mod 4
+    rep = conjecture38_scan(2, 512)
+    assert rep.conforms and rep.checks == 1024 and rep.epsilon is None
+
+
+def test_conjecture_epsilon_is_the_fitted_constant():
+    for m in range(3, 257, 2):
+        period = 1 << (m - 1).bit_length()
+        eps = conjecture_epsilon(m)
+        for n in range(1, 65):
+            assert d_shift_int(period * n - m, m) == (-1) ** (n + eps) * D_sign(period * n - m), (m, n)
+        rep = conjecture38_scan(m, 256)
+        assert rep.conforms and rep.epsilon == eps and rep.checks == 512, m
+
+
+def test_conjecture_scan_reports_violations(monkeypatch):
+    monkeypatch.setattr(closedform, "d_shift_int", lambda n, m: 1)
+    rep = conjecture38_scan(2, 4)
+    assert not rep.conforms and rep.checks == 8
+    # P n - m at n + 1 is P n at n when m = 2: each wrong value shows twice
+    assert rep.violations == ("d(2, 2) = 1 != -1",) * 2 + ("d(6, 2) = 1 != -1",) * 2
+    assert not conjecture38_scan(3, 64).conforms
 
 
 def test_conjecture_scan_guards():
