@@ -23,6 +23,7 @@ from . import contfrac
 from . import seq as seqmod
 from .exactring import LaurentPoly
 from .hankel import (
+    MOMENT_CAP,
     SequenceRule,
     build_matrix,
     catalan_shift_parity,
@@ -36,10 +37,10 @@ from .hankel import (
 # largest --to of `table --seq b`, whose recurrence caches every index up to
 # n (about 140 MiB at 10^6); the largest n `verify --suite oracle` checks
 # an integer rule at, and Bareiss against cofactor at; the largest index of
-# `verify --suite orthogonality`; and the largest n of the Hankel-ratio
-# checks in `verify --suite cf`
+# `verify --suite orthogonality` (the library's own moment guard); and the
+# largest n of the Hankel-ratio checks in `verify --suite cf`
 GUARDS = {"closed": 10**9, "bareiss": 2048, "cofactor": 48, "nonsquash": 10**6,
-          "verify_bareiss": 512, "verify_cross": 64, "orthogonality": 20, "h_ratio": 20}
+          "verify_bareiss": 512, "verify_cross": 64, "orthogonality": MOMENT_CAP, "h_ratio": 20}
 
 
 class UsageError(Exception):
@@ -237,16 +238,15 @@ def _suite_cf(max_n: int, max_m: int, rng):
 
 
 def _suite_orthogonality(max_n: int, max_m: int, rng):
-    guard = GUARDS["orthogonality"]
-    cap = min(max_n, guard)
+    cap = min(max_n, GUARDS["orthogonality"])
     for i in range(cap + 1):
         for j in range(i + 1, cap + 1):
-            yield f"(i={i}, j={j}) off-diagonal moment", moment_orthogonality(i, j, guard), 0
+            yield f"(i={i}, j={j}) off-diagonal moment", moment_orthogonality(i, j), 0
     for n in range(cap + 1):
         expect = 1
         for k in range(n):
             expect *= cf.T_int(k)
-        yield f"(n={n}) diagonal moment against the T-product", moment_orthogonality(n, n, guard), expect
+        yield f"(n={n}) diagonal moment against the T-product", moment_orthogonality(n, n), expect
 
 
 def _suite_parity(max_n: int, max_m: int, rng):
@@ -257,6 +257,18 @@ def _suite_parity(max_n: int, max_m: int, rng):
             yield f"(n={n}, m={m}) parity against the d_shift support", p, int(cf.d_shift_int(n, m) != 0)
 
 
+def _suite_conjecture(max_n: int, max_m: int, rng, shifts=None):
+    """The shifted-sign lemma at every shift 2..max_m (or at ``shifts``), with
+    a conjecture-scan line after each shift's checks."""
+    for m in range(2, max_m + 1) if shifts is None else shifts:
+        conforms = True
+        for label, got, want in cf.conjecture38_checks(m, max_n):
+            conforms = conforms and got == want
+            yield label, got, want
+        eps = f" eps={cf.conjecture_epsilon(m)}" if m % 2 else ""
+        print(f"conjecture-scan m={m} max_n={max_n}: {'conforms' if conforms else 'violates'}{eps}")
+
+
 CHECK_SUITES = {
     "oracle": _suite_oracle,
     "methods": _suite_methods,
@@ -265,30 +277,17 @@ CHECK_SUITES = {
     "cf": _suite_cf,
     "orthogonality": _suite_orthogonality,
     "parity": _suite_parity,
+    "conjecture": _suite_conjecture,
 }
 
 
-def run_suite(name: str, max_n: int, max_m: int, rng) -> tuple[int, list[str]]:
-    """(checks run, failure lines) of one suite."""
+def run_suite(triples) -> tuple[int, list[str]]:
+    """(checks run, failure lines) of one suite's (label, got, want) triples."""
     checks, bad = 0, []
-    for label, got, want in CHECK_SUITES[name](max_n, max_m, rng):
+    for label, got, want in triples:
         checks += 1
         if got != want:
             bad.append(f"{label}: got {got}, want {want}")
-    return checks, bad
-
-
-def run_conjecture(shifts, max_n: int) -> tuple[int, list[str]]:
-    """(checks run, failure lines) of the shifted-sign lemma at each shift,
-    printing one conjecture-scan line per shift."""
-    checks, bad = 0, []
-    for m in shifts:
-        report = cf.conjecture38_scan(m, max_n)
-        eps = "" if report.epsilon is None else f" eps={report.epsilon}"
-        status = "conforms" if report.conforms else "violates"
-        print(f"conjecture-scan m={m} max_n={report.max_n}: {status}{eps}")
-        checks += report.checks
-        bad.extend(report.violations)
     return checks, bad
 
 
@@ -304,17 +303,12 @@ def cmd_verify(ns) -> int:
     if ns.suite in ("methods", "all") and ns.max_n + 2 > GUARDS["nonsquash"]:
         raise UsageError(f"--suite {ns.suite} is guarded to --max-n <= {GUARDS['nonsquash'] - 2}")
     rng = random.Random(ns.prop_seed)
+    suites = dict(CHECK_SUITES)
+    if ns.m is not None:
+        suites["conjecture"] = functools.partial(_suite_conjecture, shifts=(ns.m,))
     failures = 0
-    if ns.suite == "all":
-        names = list(CHECK_SUITES) + ["conjecture"]
-    else:
-        names = [ns.suite]
-    for name in names:
-        if name == "conjecture":
-            shifts = [ns.m] if ns.m is not None else range(2, ns.max_m + 1)
-            checks, bad = run_conjecture(shifts, ns.max_n)
-        else:
-            checks, bad = run_suite(name, ns.max_n, ns.max_m, rng)
+    for name in suites if ns.suite == "all" else [ns.suite]:
+        checks, bad = run_suite(suites[name](ns.max_n, ns.max_m, rng))
         if bad:
             failures += len(bad)
             print(f"FAIL {name} ({len(bad)} checks): out of {checks}")
@@ -400,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         required=True,
-        choices=tuple(CHECK_SUITES) + ("conjecture", "all"),
+        choices=tuple(CHECK_SUITES) + ("all",),
     )
     p.add_argument("--max-n", dest="max_n", type=int, default=64)
     p.add_argument("--max-m", dest="max_m", type=int, default=8)

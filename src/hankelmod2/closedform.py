@@ -414,18 +414,18 @@ class ConjectureReport:
     conforms: bool
     epsilon: int | None  # the derived constant for odd m, None for even m
     violations: tuple[str, ...] = ()
-    checks: int = 0
 
 
 def conjecture_epsilon(m: int) -> int:
     """eps(m) for odd m >= 3: the parity of the number of runs of ones in
-    2^{K+1} - m (see ``conjecture38_scan``)."""
+    2^{K+1} - m (see ``conjecture38_checks``)."""
     r = (1 << (_shift_class(m) + 1)) - m
     return (r & ~(r >> 1)).bit_count() & 1
 
 
-def conjecture38_scan(m: int, max_n: int) -> ConjectureReport:
-    """Check d(P n, m) and d(P n - m, m), P = 2^{K+1}, for 1 <= n <= max_n.
+def conjecture38_checks(m: int, max_n: int):
+    """(label, got, want) of d(P n, m) and d(P n - m, m), P = 2^{K+1}, for
+    1 <= n <= max_n: ``d_shift_int`` against the proved forms below.
 
     The forms follow from the two-popcount sign of ``d_shift_int``
     (s = bl(m), a = bit 1 of Y, b = bit 1 of -Y).  For m >= 3, Y >> s is
@@ -438,33 +438,31 @@ def conjecture38_scan(m: int, max_n: int) -> ConjectureReport:
     Odd m: one of a, b is 1 and the count is the runs of ones of Y >> s,
     one fewer for b at an odd Y >> s.  Against the shift-1 sign this gives
     d(P n, m) = D(P n) and d(P n - m, m) = (-1)^{n + eps} D(P n - m), with
-    eps = ``conjecture_epsilon(m)``.  Each check compares ``d_shift_int``
-    with these forms; D comes from ``D_sign``'s digit-pair count.
+    eps = ``conjecture_epsilon(m)``; D comes from ``D_sign``'s digit-pair
+    count.
     """
     if m < 2:
         raise ValueError("scan is defined for m >= 2")
     if max_n < 1:
         raise ValueError("max_n must be positive")
-    K = _shift_class(m)
-    period = 1 << (K + 1)
+    period = 1 << (_shift_class(m) + 1)
     epsilon = conjecture_epsilon(m) if m % 2 else None
-    violations: list[str] = []
     for n in range(1, max_n + 1):
-        at_zero = d_shift_int(period * n, m)
-        at_shift = d_shift_int(period * n - m, m)
+        zero, shift = period * n, period * n - m
         if epsilon is None:
             want_zero, want_shift = (_pm(n), _pm(n + 1)) if m == 2 else (1, _pm(m // 2))
-            if at_zero != want_zero:
-                violations.append(f"d({period * n}, {m}) = {at_zero} != {want_zero}")
-            if at_shift != want_shift:
-                violations.append(f"d({period * n - m}, {m}) = {at_shift} != {want_shift}")
+            yield f"d({zero}, {m})", d_shift_int(zero, m), want_zero
+            yield f"d({shift}, {m})", d_shift_int(shift, m), want_shift
         else:
-            ref_zero = D_sign(period * n)
-            if at_zero != ref_zero:
-                violations.append(f"d({period * n}, {m}) = {at_zero} != d(., 1) = {ref_zero}")
-            ref_shift = _pm(n + epsilon) * D_sign(period * n - m)
-            if at_shift != ref_shift:
-                violations.append(
-                    f"d({period * n - m}, {m}) = {at_shift} != (-1)^(n + {epsilon}) d(., 1) = {ref_shift}"
-                )
-    return ConjectureReport(m, K, max_n, not violations, epsilon, tuple(violations), 2 * max_n)
+            yield f"d({zero}, {m}) against d(., 1)", d_shift_int(zero, m), D_sign(zero)
+            yield (f"d({shift}, {m}) against (-1)^(n + {epsilon}) d(., 1)", d_shift_int(shift, m),
+                   _pm(n + epsilon) * D_sign(shift))
+
+
+def conjecture38_scan(m: int, max_n: int) -> ConjectureReport:
+    """The checks of ``conjecture38_checks`` gathered into a report, one
+    ``label: got g, want w`` line per violation."""
+    violations = tuple(f"{label}: got {got}, want {want}"
+                       for label, got, want in conjecture38_checks(m, max_n) if got != want)
+    epsilon = conjecture_epsilon(m) if m % 2 else None
+    return ConjectureReport(m, _shift_class(m), max_n, not violations, epsilon, violations)

@@ -406,13 +406,18 @@ def orthopoly(n: int, t_values=None) -> UniPoly:
     return p_cur
 
 
-def moment_orthogonality(i: int, j: int, cap: int = 20) -> int:
+# largest index ``moment_orthogonality`` takes: the moment sum multiplies two
+# dense polynomials of degree up to the index
+MOMENT_CAP = 20
+
+
+def moment_orthogonality(i: int, j: int) -> int:
     """L(p_i p_j) with moments L(x^t) = A_t = bit_a(t + 1); zero for i != j.
 
-    Indices above ``cap`` are rejected; ``verify`` passes its guard-table cap.
+    Indices above ``MOMENT_CAP`` are rejected.
     """
-    if i > cap or j > cap:
-        raise ValueError(f"moment check is guarded to indices <= {cap}")
+    if i > MOMENT_CAP or j > MOMENT_CAP:
+        raise ValueError(f"moment check is guarded to indices <= {MOMENT_CAP}")
     prod = orthopoly(i) * orthopoly(j)
     return sum(c * bit_a(t + 1) for t, c in enumerate(prod.coeffs))
 

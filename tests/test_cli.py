@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hankelmod2 import closedform, contfrac
+from hankelmod2 import closedform, contfrac, hankel
 from hankelmod2 import seq as seqmod
 from hankelmod2.cli import GUARDS, REGISTRY, RULE_CHOICES, SEQ_RULES, main
 from hankelmod2.exactring import LaurentPoly
@@ -240,10 +240,12 @@ def test_verify_orthogonality_and_h_ratio_caps_come_from_the_guard_table(capsys,
     monkeypatch.setitem(GUARDS, "orthogonality", 5)
     code, out, _ = run_cli(capsys, "verify", "--suite", "orthogonality", "--max-n", "10")
     assert code == 0 and out == f"ok orthogonality ({6 * 5 // 2 + 6} checks)\n"
-    # raising the cap raises the library's own index guard with it
-    monkeypatch.setitem(GUARDS, "orthogonality", 22)
-    code, out, _ = run_cli(capsys, "verify", "--suite", "orthogonality", "--max-n", "22")
-    assert code == 0 and out == f"ok orthogonality ({23 * 22 // 2 + 23} checks)\n"
+    # the table's cap is the library's own index guard
+    monkeypatch.undo()
+    assert GUARDS["orthogonality"] == hankel.MOMENT_CAP
+    code, out, _ = run_cli(capsys, "verify", "--suite", "orthogonality", "--max-n", "30")
+    cap = hankel.MOMENT_CAP
+    assert code == 0 and out == f"ok orthogonality ({(cap + 1) * cap // 2 + cap + 1} checks)\n"
     # three identities, eight depth-sufficiency trials, then n = 0..cap
     monkeypatch.setitem(GUARDS, "h_ratio", 3)
     code, out, _ = run_cli(capsys, "verify", "--suite", "cf", "--max-n", "10")
@@ -270,7 +272,7 @@ def test_verify_conjecture_fails_on_a_wrong_sign(capsys, monkeypatch):
     assert code == 1
     assert out == ("conjecture-scan m=4 max_n=4: violates\n"
                    "FAIL conjecture (1 checks): out of 8\n"
-                   "  d(16, 4) = -1 != 1\n")
+                   "  d(16, 4): got -1, want 1\n")
 
 
 def test_verify_cf_renders_a_failed_identity(capsys, monkeypatch):
