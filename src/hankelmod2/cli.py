@@ -126,22 +126,23 @@ def cmd_table(ns) -> int:
         raise UsageError(f"need {entry.min_n} <= --from <= --to for --seq {ns.seq}")
     if entry.guard and ns.to > GUARDS[entry.guard]:
         raise UsageError(f"--seq {ns.seq} is guarded to --to <= {GUARDS[entry.guard]}")
-    method = entry.method(m)
-    records = (
-        {"n": n, "m": m, "rule": rule, "method": method, "value": str(entry.value(n, m))}
-        for n in range(ns.frm, ns.to + 1)
-    )
+    method, value, lo = entry.method(m), entry.value, ns.frm
+    window = range(lo, ns.to + 1)
+    # rows are written as they are computed; only n and the value vary, so
+    # the fixed fields are formatted once per command
     out = sys.stdout
     if ns.format == "json":
+        # the bytes of json.dumps of each row's {n, m, rule, method, value}
+        quote = json.encoder.encode_basestring_ascii
+        fixed = f', "m": {m}, "rule": {quote(rule)}, "method": {quote(method)}, "value": '
         out.write("[")
-        for i, rec in enumerate(records):
-            out.write(", " + json.dumps(rec) if i else json.dumps(rec))
+        out.writelines(f'{", " if n > lo else ""}{{"n": {n}{fixed}{quote(str(value(n, m)))}}}'
+                       for n in window)
         out.write("]\n")
     else:
-        writer = csv.DictWriter(out, fieldnames=["n", "m", "rule", "method", "value"])
-        writer.writeheader()
-        for rec in records:
-            writer.writerow(rec)
+        writer = csv.writer(out)
+        writer.writerow(("n", "m", "rule", "method", "value"))
+        writer.writerows((n, m, rule, method, str(value(n, m))) for n in window)
     return 0
 
 
@@ -232,7 +233,7 @@ def _suite_cf(max_n: int, max_m: int, rng):
         hi = contfrac.cf_expand(contfrac.CFSpec.s_fraction(coeffs), n)
         yield f"depth sufficiency (trial {trial})", lo, hi
     # Favard t against Hankel determinant ratios of the base sequence
-    for n in range(GUARDS["h_ratio"] + 1):
+    for n in range(min(max_n, GUARDS["h_ratio"]) + 1):
         h = [det_oracle(build_matrix(SequenceRule("unit", 0), k)) for k in (n, n + 1, n + 2)]
         yield f"(n={n}) H-ratio t against favard", Fraction(h[0] * h[2], h[1] ** 2), cf.favard_st(n)[1]
 
@@ -296,6 +297,8 @@ def cmd_verify(ns) -> int:
         raise UsageError("--max-n must be at least 1")
     if ns.max_m < 1:
         raise UsageError("--max-m must be at least 1")
+    if ns.m is not None and ns.suite != "conjecture":
+        raise UsageError("--m applies only to --suite conjecture; the other suites take --max-m")
     if ns.m is not None and ns.m < 2:
         raise UsageError("the conjecture scan needs --m >= 2")
     # the methods suite checks T_n against nonsquash_b(n + 2), which caches
@@ -398,7 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-n", dest="max_n", type=int, default=64)
     p.add_argument("--max-m", dest="max_m", type=int, default=8)
-    p.add_argument("--m", type=int, default=None, help="single shift for the conjecture scan")
+    p.add_argument("--m", type=int, default=None,
+                   help="single shift for --suite conjecture (no other suite takes it)")
     p.add_argument("--prop-seed", dest="prop_seed", type=int, default=1,
                    help="seed for the randomized property checks")
     p.set_defaults(func=cmd_verify)

@@ -23,7 +23,14 @@ from typing import Iterable, Iterator, Mapping
 XVAR = -1  # reserved variable index rendered as plain "x"
 
 
+# the names of the first 64 variables; larger indices are formatted on use
+# (a name at index k has about 0.3 k digits)
+_VAR_NAMES = tuple(f"x{(1 << k) - 1}" for k in range(64))
+
+
 def var_name(k: int) -> str:
+    if 0 <= k < 64:
+        return _VAR_NAMES[k]
     return "x" if k == XVAR else f"x{(1 << k) - 1}"
 
 
@@ -39,12 +46,16 @@ def var_index_from_subscript(sub: str) -> int:
 
 
 class ExponentVector:
-    """Canonical finite map variable-index -> nonzero integer exponent."""
+    """Canonical finite map variable-index -> nonzero integer exponent.
 
-    __slots__ = ("_items",)
+    Immutable, so its hash is computed once, on first use.
+    """
+
+    __slots__ = ("_items", "_hash")
 
     def __init__(self, items: Iterable[tuple[int, int]] = ()):
         self._items = tuple(sorted((k, e) for k, e in items if e != 0))
+        self._hash = None
 
     @classmethod
     def from_dict(cls, exps: Mapping[int, int]) -> "ExponentVector":
@@ -78,7 +89,9 @@ class ExponentVector:
         return isinstance(other, ExponentVector) and self._items == other._items
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        if self._hash is None:
+            self._hash = hash(self._items)
+        return self._hash
 
     def __lt__(self, other: "ExponentVector") -> bool:
         return self._items < other._items
@@ -294,16 +307,17 @@ class LaurentPoly:
 
     @staticmethod
     def _term_str(ev: ExponentVector, c: int) -> str:
-        num = [(k, e) for k, e in ev.items() if e > 0]
-        den = [(k, -e) for k, e in ev.items() if e < 0]
-        fmt = lambda k, e: var_name(k) if e == 1 else f"{var_name(k)}^{e}"
-        parts = [fmt(k, e) for k, e in num]
+        num: list[str] = []
+        den: list[str] = []
+        for k, e in ev.items():
+            power = abs(e)
+            (num if e > 0 else den).append(var_name(k) if power == 1 else f"{var_name(k)}^{power}")
         mag = abs(c)
-        if mag != 1 or not parts:
-            parts.insert(0, str(mag))
-        s = "*".join(parts)
+        if mag != 1 or not num:
+            num.insert(0, str(mag))
+        s = "*".join(num)
         if den:
-            s += "/" + "*".join(fmt(k, e) for k, e in den)
+            s += "/" + "*".join(den)
         return ("-" if c < 0 else "") + s
 
     def __str__(self) -> str:

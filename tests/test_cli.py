@@ -8,7 +8,7 @@ import pytest
 
 from hankelmod2 import closedform, contfrac, hankel
 from hankelmod2 import seq as seqmod
-from hankelmod2.cli import GUARDS, REGISTRY, RULE_CHOICES, SEQ_RULES, main
+from hankelmod2.cli import CHECK_SUITES, GUARDS, REGISTRY, RULE_CHOICES, SEQ_RULES, main
 from hankelmod2.exactring import LaurentPoly
 from hankelmod2.hankel import SequenceRule, build_matrix, det_oracle
 
@@ -148,15 +148,36 @@ def test_registry_entry_against_oracle(seq, rule):
             assert str(got) == str(want), (seq, rule, m, n)
 
 
-def test_table_prints_the_registry(capsys):
+def table_cases():
+    """(seq, rule, m, lo, hi, argv) for every registry pair, --seq d at shifts 0-4,
+    over a window of small and of four-digit n."""
     for (seq, rule), entry in REGISTRY.items():
-        m = {"d": 2, "D": 1}.get(seq, 0)
-        args = ["table", "--seq", seq, "--rule", rule, "--from", "2", "--to", "9"]
-        code, out, _ = run_cli(capsys, *args, *(["--m", "2"] if seq == "d" else []))
-        assert code == 0, (seq, rule)
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert [r["method"] for r in rows] == [entry.method(m)] * 8
-        assert [r["value"] for r in rows] == [str(entry.value(n, m)) for n in range(2, 10)]
+        shifts = {"d": range(entry.min_m, 5), "D": [1]}.get(seq, [0])
+        for m in shifts:
+            for lo, hi in ((2, 9), (1000, 1040)):
+                argv = ["table", "--seq", seq, "--rule", rule, "--from", str(lo), "--to", str(hi)]
+                yield seq, rule, m, lo, hi, argv + (["--m", str(m)] if seq == "d" else [])
+
+
+def table_reference(fmt, seq, rule, m, lo, hi):
+    """The table as a per-row dict through csv.DictWriter or json.dumps."""
+    entry = REGISTRY[(seq, rule)]
+    records = [{"n": n, "m": m, "rule": rule, "method": entry.method(m),
+                "value": str(entry.value(n, m))} for n in range(lo, hi + 1)]
+    if fmt == "json":
+        return "[" + ", ".join(json.dumps(rec) for rec in records) + "]\n"
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=["n", "m", "rule", "method", "value"])
+    writer.writeheader()
+    writer.writerows(records)
+    return buf.getvalue()
+
+
+def test_table_prints_the_registry(capsys):
+    for seq, rule, m, lo, hi, argv in table_cases():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert out == table_reference("csv", seq, rule, m, lo, hi), argv
 
 
 def test_unregistered_pairs_exit_two_and_print_nothing(capsys):
@@ -191,6 +212,11 @@ def test_table_json_matches_json_dump(capsys):
                                "--from", str(lo), "--to", str(hi), "--format", "json")
         assert code == 0
         assert out == json.dumps(json.loads(out)) + "\n"
+        assert out == table_reference("json", "d", "generic", 3, lo, hi)
+    for seq, rule, m, lo, hi, argv in table_cases():
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        assert out == table_reference("json", seq, rule, m, lo, hi), argv
 
 
 def test_internal_error_is_not_a_usage_error(monkeypatch):
@@ -332,6 +358,38 @@ def test_verify_methods_nonsquash_guard(capsys, monkeypatch):
 def test_verify_degenerate_bound(capsys):
     assert run_cli(capsys, "verify", "--suite", "all", "--max-n", "0")[0] == 2
     assert run_cli(capsys, "verify", "--suite", "conjecture", "--m", "1")[0] == 2
+
+
+def test_verify_m_applies_only_to_the_conjecture_suite(capsys, monkeypatch):
+    def must_not_run(max_n, max_m, rng):
+        raise AssertionError("a suite ran after a usage error")
+
+    for suite in CHECK_SUITES:
+        monkeypatch.setitem(CHECK_SUITES, suite, must_not_run)
+    for suite in ("methods", "oracle", "parity", "all"):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", "8", "--m", "5")
+        assert (code, out) == (2, ""), suite
+        assert err.startswith("error: --m applies only to --suite conjecture")
+
+
+def test_verify_cf_h_ratio_checks_stop_at_max_n(capsys, monkeypatch):
+    orders = []
+
+    def recording(rule, n):
+        orders.append(n)
+        return build_matrix(rule, n)
+
+    monkeypatch.setattr("hankelmod2.cli.build_matrix", recording)
+    # three identities, eight depth-sufficiency trials, then n = 0..1
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cf", "--max-n", "1")
+    assert code == 0 and out == f"ok cf ({3 + 8 + 2} checks)\n"
+    assert orders and max(orders) <= 3
+    # above the guard the cap is GUARDS["h_ratio"], as before
+    orders.clear()
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cf", "--max-n", "32")
+    h = GUARDS["h_ratio"]
+    assert code == 0 and out == f"ok cf ({3 + 8 + h + 1} checks)\n"
+    assert max(orders) == h + 2
 
 
 def test_bench_closed_and_guards(capsys):

@@ -10,6 +10,8 @@ from hankelmod2.exactring import (
     LaurentPoly,
     TruncatedSeries,
     UniPoly,
+    var_index_from_subscript,
+    var_name,
 )
 
 x0 = LaurentPoly.variable(0)
@@ -52,6 +54,27 @@ def test_exponent_vector_canonical():
     ev = ExponentVector([(3, 0), (1, 2), (0, 1)])
     assert ev.items() == ((0, 1), (1, 2))  # zero exponents dropped, sorted
     assert ev.get(3) == 0
+
+
+def test_exponent_vector_hash_is_order_free():
+    a = ExponentVector([(3, 2), (0, 1), (5, -1)])
+    b = ExponentVector.from_dict({5: -1, 0: 1, 3: 2, 7: 0})
+    c = ExponentVector([(0, 1), (1, 4)]).combine(ExponentVector([(5, -1), (1, -4), (3, 2)]))
+    hash(a)  # a's hash is computed before the others exist as keys
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert {a: "a"}[b] == "a" and {b: "b"}[c] == "b" and {c: "c"}[a] == "c"
+    assert LaurentPoly({a: 1}) + LaurentPoly({b: 1}) == LaurentPoly({c: 2})
+    assert b.negate().negate() == a and hash(b.negate().negate()) == hash(a)
+
+
+def test_var_names_past_the_fixed_table():
+    for k in (0, 1, 63, 64, 65, 4096):
+        assert var_name(k) == f"x{(1 << k) - 1}"
+        assert var_index_from_subscript(var_name(k)[1:]) == k
+    assert var_name(XVAR) == "x"
+    big = f"x{(1 << 64) - 1}"
+    assert str(LaurentPoly.monomial(-3, {64: 2, 0: -1, 63: 1})) == f"-3*x{(1 << 63) - 1}*{big}^2/x0"
+    assert LaurentPoly.parse(f"{big}^2/x0^3") == LaurentPoly.monomial(1, {64: 2, 0: -3})
 
 
 def test_rendering_examples():
