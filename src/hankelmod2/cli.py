@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 from . import closedform as cf
 from . import contfrac
 from . import seq as seqmod
-from .exactring import LaurentPoly
+from .exactring import monomial_text
 from .hankel import (
     MOMENT_CAP,
     SequenceRule,
@@ -51,7 +51,7 @@ class Evaluator(NamedTuple):
     """One registry entry: the table's method label and the exact value."""
 
     methods: tuple[str, ...]  # label at shift m is methods[min(m, len - 1)]
-    value: Callable[[int, int], object]  # (n, m) -> exact value
+    value: Callable[[int, int], object]  # (n, m) -> exact value or its canonical text
     min_m: int = 0
     min_n: int = 0
     guard: str | None = None  # GUARDS key bounding n, if any
@@ -68,7 +68,7 @@ def _specialized(rule: str, generic: Callable[[int, int], object]) -> Callable[[
 
 # d(n, m) per rule; --seq d takes any shift, --seq D is the shift-1 table.
 DETERMINANTS = {
-    "unit": Evaluator(("closed",), lambda n, m: cf.d_shift_int(n, m)),
+    "unit": Evaluator(("closed",), cf.d_shift_int),
     "generic": Evaluator(("profile",), cf.d_shift_generic),
     "powers": Evaluator(("specialize",), _specialized("powers", cf.d_shift_generic)),
     "doubling": Evaluator(("specialize",), _specialized("doubling", cf.d_shift_generic)),
@@ -91,10 +91,12 @@ REGISTRY: dict[tuple[str, str], Evaluator] = {
     **{("t", r): Evaluator(("specialize",), _specialized(r, lambda n, m: cf.generic_t(n)))
        for r in ("powers", "doubling")},
     ("s", "unit"): Evaluator(("favard",), lambda n, m: cf.favard_st(n)[0]),
+    # the unsigned d(n, 0) and d(n, 1) monomials, as text straight from the
+    # exponent table (ascending k, nonzero exponents)
     ("lambda", "generic"): Evaluator(("profile",),
-                                     lambda n, m: LaurentPoly.monomial(1, cf.shift_profile(n, 0))),
+                                     lambda n, m: monomial_text(1, cf.shift_profile(n, 0).items())),
     ("mu", "generic"): Evaluator(("profile",),
-                                 lambda n, m: LaurentPoly.monomial(1, cf.shift_profile(n, 1))),
+                                 lambda n, m: monomial_text(1, cf.shift_profile(n, 1).items())),
     ("S", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.paperfolding_s(n)),
     ("r", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.grs_r(n)),
     ("b", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.nonsquash_b(n), min_n=2,
@@ -377,6 +379,7 @@ def cmd_det(ns) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built on the first main call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hankelmod2",

@@ -248,6 +248,8 @@ def shift_profile(n: int, m: int) -> dict[int, int]:
     (k+1, k) = 01 give Y mod 2^k, bits 10 give 2^k - (Y mod 2^k), other
     pairs give 0, and zero exponents are dropped.  The low bits come from
     one mask per edge, so the cost is the Theta(log^2 n) bits of output.
+    The keys come in ascending k and every exponent is nonzero, so
+    ``exactring.monomial_text`` renders the items as they are.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")

@@ -34,6 +34,31 @@ def var_name(k: int) -> str:
     return "x" if k == XVAR else f"x{(1 << k) - 1}"
 
 
+def monomial_text(c: int, items: Iterable[tuple[int, int]]) -> str:
+    """Canonical text of c * prod x_{2^k-1}^e, the one monomial renderer.
+
+    ``items`` are (k, e) pairs in ascending k with every e nonzero (an
+    ``ExponentVector``'s items, or ``closedform.shift_profile``'s).  Positive
+    powers stand above the bar, negative ones below it; |c| leads when it is
+    not 1 or nothing else stands above the bar, so the empty product is "1".
+    """
+    num: list[str] = []
+    den: list[str] = []
+    for k, e in items:
+        name = _VAR_NAMES[k] if 0 <= k < 64 else var_name(k)
+        if e > 0:
+            num.append(name if e == 1 else f"{name}^{e}")
+        else:
+            den.append(name if e == -1 else f"{name}^{-e}")
+    mag = abs(c)
+    if mag != 1 or not num:
+        num.insert(0, str(mag))
+    s = "*".join(num)
+    if den:
+        s += "/" + "*".join(den)
+    return "-" + s if c < 0 else s
+
+
 def var_index_from_subscript(sub: str) -> int:
     """Map a rendered subscript back to the variable index k (x7 -> 3)."""
     if sub == "":
@@ -305,31 +330,18 @@ class LaurentPoly:
 
     # -- canonical text form ----------------------------------------------
 
-    @staticmethod
-    def _term_str(ev: ExponentVector, c: int) -> str:
-        num: list[str] = []
-        den: list[str] = []
-        for k, e in ev.items():
-            power = abs(e)
-            (num if e > 0 else den).append(var_name(k) if power == 1 else f"{var_name(k)}^{power}")
-        mag = abs(c)
-        if mag != 1 or not num:
-            num.insert(0, str(mag))
-        s = "*".join(num)
-        if den:
-            s += "/" + "*".join(den)
-        return ("-" if c < 0 else "") + s
-
     def __str__(self) -> str:
+        if len(self._terms) == 1:
+            ((ev, c),) = self._terms.items()
+            return monomial_text(c, ev.items())
         if not self._terms:
             return "0"
         out = ""
         for ev, c in self.terms():
-            t = self._term_str(ev, abs(c))
             if not out:
-                out = ("-" if c < 0 else "") + t
+                out = monomial_text(c, ev.items())
             else:
-                out += (" - " if c < 0 else " + ") + t
+                out += (" - " if c < 0 else " + ") + monomial_text(abs(c), ev.items())
         return out
 
     def __repr__(self) -> str:

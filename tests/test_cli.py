@@ -1,14 +1,18 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hankelmod2
 from hankelmod2 import closedform, contfrac, hankel
 from hankelmod2 import seq as seqmod
-from hankelmod2.cli import CHECK_SUITES, GUARDS, REGISTRY, RULE_CHOICES, SEQ_RULES, main
+from hankelmod2.cli import CHECK_SUITES, GUARDS, REGISTRY, RULE_CHOICES, SEQ_RULES, _build_parser, main
 from hankelmod2.exactring import LaurentPoly
 from hankelmod2.hankel import SequenceRule, build_matrix, det_oracle
 
@@ -191,14 +195,14 @@ def test_unregistered_pairs_exit_two_and_print_nothing(capsys):
 
 
 def test_table_streams_rows(capsys, monkeypatch):
-    real = closedform.d_shift_int
+    entry = REGISTRY["d", "unit"]
 
     def fails_at_3(n, m):
         if n == 3:
             raise ValueError("internal failure")
-        return real(n, m)
+        return entry.value(n, m)
 
-    monkeypatch.setattr(closedform, "d_shift_int", fails_at_3)
+    monkeypatch.setitem(REGISTRY, ("d", "unit"), entry._replace(value=fails_at_3))
     for fmt, written in (("csv", "n,m,rule,method,value\r\n0,2,unit,closed,1\r\n"),
                          ("json", '[{"n": 0, "m": 2, "rule": "unit", "method": "closed", "value": "1"}, ')):
         with pytest.raises(ValueError):
@@ -219,11 +223,64 @@ def test_table_json_matches_json_dump(capsys):
         assert out == table_reference("json", seq, rule, m, lo, hi), argv
 
 
+def test_lambda_mu_rows_are_the_profile_monomials(capsys):
+    # n = 0 is the empty product; past 2^64 the variable index leaves the
+    # fixed 64-name table
+    for seq, m in (("lambda", 0), ("mu", 1)):
+        for lo, hi in ((0, 300), (999_000, 999_100), ((1 << 64) - 60, (1 << 64) + 60)):
+            want = [str(LaurentPoly.monomial(1, closedform.shift_profile(n, m))) for n in range(lo, hi + 1)]
+            for fmt in ("csv", "json"):
+                code, out, _ = run_cli(capsys, "table", "--seq", seq, "--from", str(lo), "--to", str(hi),
+                                       "--format", fmt)
+                assert code == 0
+                if fmt == "csv":
+                    rows = list(csv.DictReader(io.StringIO(out)))
+                else:
+                    rows = json.loads(out)
+                assert [int(r["n"]) for r in rows] == list(range(lo, hi + 1)), (seq, lo, fmt)
+                assert [r["value"] for r in rows] == want, (seq, lo, fmt)
+    code, out, _ = run_cli(capsys, "table", "--seq", "lambda", "--from", "0", "--to", "1")
+    assert out.splitlines()[1:] == ["0,0,generic,profile,1", "1,0,generic,profile,x0"]
+    code, out, _ = run_cli(capsys, "table", "--seq", "mu", "--from", "11", "--to", "11", "--format", "json")
+    assert json.loads(out)[0]["value"] == "x3^3*x7*x15^7"
+
+
+def test_consecutive_commands_share_one_parser_and_no_arguments(capsys):
+    commands = (
+        ["table", "--seq", "d", "--rule", "generic", "--m", "3", "--from", "5", "--to", "7",
+         "--format", "json"],
+        ["table", "--seq", "D", "--from", "0", "--to", "3"],
+        ["verify", "--suite", "reflect", "--max-n", "8"],
+        ["table", "--seq", "d", "--from", "0", "--to", "3"],
+        ["det", "--n", "3"],
+    )
+    for argv in commands:
+        # each parse equals one by a newly built parser
+        assert vars(_build_parser().parse_args(argv)) == vars(_build_parser.__wrapped__().parse_args(argv))
+    outs = [run_cli(capsys, *argv) for argv in commands]
+    assert _build_parser() is _build_parser()
+    assert [code for code, _, _ in outs] == [0] * len(commands)
+    assert outs[0][1] == table_reference("json", "d", "generic", 3, 5, 7)
+    # --m 3 of the first command would make this a usage error
+    assert outs[1][1] == table_reference("csv", "D", "unit", 1, 0, 3)
+    assert outs[2][1] == "ok reflect (12 checks)\n"
+    assert outs[3][1] == table_reference("csv", "d", "unit", 0, 0, 3)
+    assert outs[4][1] == "det = -1\n"
+
+
+def test_parser_is_not_built_at_import():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hankelmod2.__file__)))
+    probe = ("import hankelmod2.cli as cli; a = cli._build_parser.cache_info().currsize; "
+             "cli.main(['table', '--seq', 'S', '--to', '0']); print(a, cli._build_parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 1"
+
+
 def test_internal_error_is_not_a_usage_error(monkeypatch):
     def broken(n, m):
         raise ValueError("internal failure")
 
-    monkeypatch.setattr(closedform, "d_shift_int", broken)
+    monkeypatch.setitem(REGISTRY, ("d", "unit"), REGISTRY["d", "unit"]._replace(value=broken))
     with pytest.raises(ValueError, match="internal failure"):
         main(["table", "--seq", "d", "--m", "3", "--from", "0", "--to", "3"])
 

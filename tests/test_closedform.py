@@ -230,6 +230,22 @@ def test_shift_profile_matches_tent_reference_at_huge_n(n, m):
     assert shift_profile(n, m) == tent_profile_loop(n, m)
 
 
+def test_shift_profile_keys_ascend_with_nonzero_exponents():
+    # dict equality ignores order, so the items are compared as lists
+    for m in range(65):
+        for n in list(range(1 << 10)) + [10**6 - 7, (1 << 64) - 3, 1 << 64, (1 << 64) + 5]:
+            items = list(shift_profile(n, m).items())
+            assert items == list(tent_profile_loop(n, m).items()), (n, m)
+            assert items == sorted(items) and all(e > 0 for _, e in items), (n, m)
+
+
+@given(st.integers(1000, 10000).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)),
+       st.integers(0, 256))
+@settings(max_examples=20, deadline=None)
+def test_shift_profile_keys_ascend_at_huge_n(n, m):
+    assert list(shift_profile(n, m).items()) == list(tent_profile_loop(n, m).items())
+
+
 def test_shift_profile_matches_nimble_blocks():
     # exponents and sign of the block fold on every supported pair
     for m in range(65):

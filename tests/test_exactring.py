@@ -10,6 +10,7 @@ from hankelmod2.exactring import (
     LaurentPoly,
     TruncatedSeries,
     UniPoly,
+    monomial_text,
     var_index_from_subscript,
     var_name,
 )
@@ -89,6 +90,46 @@ def test_rendering_examples():
     assert str(1 - x0 ** 2) == "1 - x0^2"
 
 
+def _term_str_reference(ev, c):
+    """The term renderer monomial_text replaced, kept as the reference."""
+    num, den = [], []
+    for k, e in ev.items():
+        power = abs(e)
+        (num if e > 0 else den).append(var_name(k) if power == 1 else f"{var_name(k)}^{power}")
+    mag = abs(c)
+    if mag != 1 or not num:
+        num.insert(0, str(mag))
+    s = "*".join(num)
+    if den:
+        s += "/" + "*".join(den)
+    return ("-" if c < 0 else "") + s
+
+
+def _str_reference(p):
+    """The polynomial text from the reference term renderer."""
+    out = ""
+    for ev, c in p.terms():
+        t = _term_str_reference(ev, abs(c))
+        out = ("-" if c < 0 else "") + t if not out else out + (" - " if c < 0 else " + ") + t
+    return out or "0"
+
+
+def test_monomial_text_matches_the_reference_renderer():
+    exps = [{}, {0: 1}, {2: 1, 1: -1}, {1: 1, 3: 1, 2: -2}, {0: -1, 1: -3}, {XVAR: 10},
+            {XVAR: -1}, {64: 2, 0: -1, 63: 1}, {0: 1, 2: 2, 3: 2, 4: 6}, {5: 1, 1: 2, 3: 1}]
+    for e in exps:
+        ev = ExponentVector.from_dict(e)
+        for c in (1, -1, 2, -3, 0, 10**20):
+            assert monomial_text(c, ev.items()) == _term_str_reference(ev, c), (e, c)
+    assert monomial_text(1, ()) == "1" and monomial_text(-1, ()) == "-1"
+    assert monomial_text(0, ()) == "0" and monomial_text(-7, ()) == "-7"
+    assert monomial_text(1, ((0, 1), (2, 1))) == "x0*x3"
+    assert monomial_text(1, ((1, -1),)) == "1/x1"
+    assert monomial_text(-2, ((0, 3), (1, -1), (2, 1), (3, -2))) == "-2*x0^3*x3/x1*x7^2"
+    p = 1 - 3 * x0 ** 2 + x1 * x7 / x3 ** 2 - 2 * x3 ** -1 + 5
+    assert str(p) == _str_reference(p) == "6 - 3*x0^2 + x1*x7/x3^2 - 2/x3"
+
+
 def test_parse_round_trip_samples():
     for text in (
         "0", "1", "-1", "x0", "-x0*x3^2*x7^2*x15^6", "x3/x1", "-x1*x7/x3^2",
@@ -166,6 +207,14 @@ def test_eval_is_ring_homomorphism(p, q, data):
 @settings(max_examples=150, deadline=None)
 def test_parse_round_trip_random(p):
     assert LaurentPoly.parse(str(p)) == p
+
+
+@given(polys())
+@settings(max_examples=300, deadline=None)
+def test_str_matches_the_reference_renderer(p):
+    assert str(p) == _str_reference(p)
+    for ev, c in p.terms():
+        assert monomial_text(c, ev.items()) == _term_str_reference(ev, c)
 
 
 def test_unipoly_basics():
