@@ -2,16 +2,18 @@
 
 Library layout:
   seq        -- binary-digit counters and sign sequences
-  exactring  -- Laurent polynomials, integer polynomials, truncated series
-  hankel     -- matrix construction, determinant oracles, nimble solver,
-                decompositions, orthogonal polynomials
-  closedform -- every closed-form / recursive determinant evaluator
-  contfrac   -- continued-fraction expansion and identity checks
+  exactring  -- Laurent polynomials, integer polynomials
+  hankel     -- matrix construction and the determinant oracles; imports no
+                closed form
+  closedform -- every closed-form / recursive determinant evaluator, the
+                interval-reversal blocks, LDL^t factors
+  contfrac   -- continued-fraction expansion, identity checks, orthogonal
+                polynomials
   cli        -- table / verify / bench / det command line
 """
 
-from .exactring import LaurentPoly, TruncatedSeries, UniPoly
-from .hankel import HankelMatrix, SequenceRule, SignedPermutation, build_matrix, det_oracle
+from .exactring import LaurentPoly, UniPoly
+from .hankel import HankelMatrix, SequenceRule, build_matrix, det_oracle
 from .closedform import (
     D_sign,
     T_int,
@@ -26,11 +28,9 @@ from .closedform import (
 
 __all__ = [
     "LaurentPoly",
-    "TruncatedSeries",
     "UniPoly",
     "HankelMatrix",
     "SequenceRule",
-    "SignedPermutation",
     "build_matrix",
     "det_oracle",
     "d_sign",

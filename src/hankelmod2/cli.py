@@ -22,25 +22,19 @@ from . import closedform as cf
 from . import contfrac
 from . import seq as seqmod
 from .exactring import monomial_text
-from .hankel import (
-    MOMENT_CAP,
-    SequenceRule,
-    build_matrix,
-    catalan_shift_parity,
-    det_oracle,
-    ldlt_verify_plain,
-    ldlt_verify_shifted,
-    moment_orthogonality,
-)
+from .hankel import SequenceRule, build_matrix, catalan_shift_parity, det_oracle
 
 # largest n each determinant engine takes, in `bench` and `det` alike; the
 # largest --to of `table --seq b`, whose recurrence caches every index up to
 # n (about 140 MiB at 10^6); the largest n `verify --suite oracle` checks
 # an integer rule at, and Bareiss against cofactor at; the largest index of
-# `verify --suite orthogonality` (the library's own moment guard); and the
-# largest n of the Hankel-ratio checks in `verify --suite cf`
+# `verify --suite orthogonality` (the library's own moment guard); the
+# largest n of the Hankel-ratio checks in `verify --suite cf`; and the
+# largest n of `verify --suite ldlt`, whose dense n x n products cost n^3
+# per check
 GUARDS = {"closed": 10**9, "bareiss": 2048, "cofactor": 48, "nonsquash": 10**6,
-          "verify_bareiss": 512, "verify_cross": 64, "orthogonality": MOMENT_CAP, "h_ratio": 20}
+          "verify_bareiss": 512, "verify_cross": 64, "orthogonality": contfrac.MOMENT_CAP,
+          "h_ratio": 20, "ldlt": 64}
 
 
 class UsageError(Exception):
@@ -50,14 +44,11 @@ class UsageError(Exception):
 class Evaluator(NamedTuple):
     """One registry entry: the table's method label and the exact value."""
 
-    methods: tuple[str, ...]  # label at shift m is methods[min(m, len - 1)]
+    method: str
     value: Callable[[int, int], object]  # (n, m) -> exact value or its canonical text
     min_m: int = 0
     min_n: int = 0
     guard: str | None = None  # GUARDS key bounding n, if any
-
-    def method(self, m: int) -> str:
-        return self.methods[min(m, len(self.methods) - 1)]
 
 
 def _specialized(rule: str, generic: Callable[[int, int], object]) -> Callable[[int, int], object]:
@@ -68,12 +59,12 @@ def _specialized(rule: str, generic: Callable[[int, int], object]) -> Callable[[
 
 # d(n, m) per rule; --seq d takes any shift, --seq D is the shift-1 table.
 DETERMINANTS = {
-    "unit": Evaluator(("closed",), cf.d_shift_int),
-    "generic": Evaluator(("profile",), cf.d_shift_generic),
-    "powers": Evaluator(("specialize",), _specialized("powers", cf.d_shift_generic)),
-    "doubling": Evaluator(("specialize",), _specialized("doubling", cf.d_shift_generic)),
+    "unit": Evaluator("closed", cf.d_shift_int),
+    "generic": Evaluator("profile", cf.d_shift_generic),
+    "powers": Evaluator("specialize", _specialized("powers", cf.d_shift_generic)),
+    "doubling": Evaluator("specialize", _specialized("doubling", cf.d_shift_generic)),
     # the grs rule assigns no value to x0, which only the shift-0 matrix has
-    "grs": Evaluator(("specialize",), _specialized("grs", cf.d_shift_generic), min_m=1),
+    "grs": Evaluator("specialize", _specialized("grs", cf.d_shift_generic), min_m=1),
 }
 RULE_CHOICES = tuple(DETERMINANTS)
 
@@ -81,27 +72,27 @@ RULE_CHOICES = tuple(DETERMINANTS)
 # is its default.
 REGISTRY: dict[tuple[str, str], Evaluator] = {
     **{(seq, rule): e for seq in ("d", "D") for rule, e in DETERMINANTS.items()},
-    ("T", "unit"): Evaluator(("ratio",), lambda n, m: cf.T_int(n)),
-    ("T", "generic"): Evaluator(("ratio",), lambda n, m: cf.generic_T(n)),
-    **{("T", r): Evaluator(("specialize",), _specialized(r, lambda n, m: cf.generic_T(n)))
+    ("T", "unit"): Evaluator("ratio", lambda n, m: cf.T_int(n)),
+    ("T", "generic"): Evaluator("ratio", lambda n, m: cf.generic_T(n)),
+    **{("T", r): Evaluator("specialize", _specialized(r, lambda n, m: cf.generic_T(n)))
        for r in cf.SPECIAL_KINDS},
-    ("t", "unit"): Evaluator(("favard",), lambda n, m: cf.favard_st(n)[1]),
-    ("t", "generic"): Evaluator(("ratio",), lambda n, m: cf.generic_t(n)),
+    ("t", "unit"): Evaluator("favard", lambda n, m: cf.favard_st(n)[1]),
+    ("t", "generic"): Evaluator("ratio", lambda n, m: cf.generic_t(n)),
     # t_n is a ratio of unshifted determinants, so it carries x0: no grs entry
-    **{("t", r): Evaluator(("specialize",), _specialized(r, lambda n, m: cf.generic_t(n)))
+    **{("t", r): Evaluator("specialize", _specialized(r, lambda n, m: cf.generic_t(n)))
        for r in ("powers", "doubling")},
-    ("s", "unit"): Evaluator(("favard",), lambda n, m: cf.favard_st(n)[0]),
+    ("s", "unit"): Evaluator("favard", lambda n, m: cf.favard_st(n)[0]),
     # the unsigned d(n, 0) and d(n, 1) monomials, as text straight from the
     # exponent table (ascending k, nonzero exponents)
-    ("lambda", "generic"): Evaluator(("profile",),
+    ("lambda", "generic"): Evaluator("profile",
                                      lambda n, m: monomial_text(1, cf.shift_profile(n, 0).items())),
-    ("mu", "generic"): Evaluator(("profile",),
+    ("mu", "generic"): Evaluator("profile",
                                  lambda n, m: monomial_text(1, cf.shift_profile(n, 1).items())),
-    ("S", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.paperfolding_s(n)),
-    ("r", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.grs_r(n)),
-    ("b", "unit"): Evaluator(("recurrence",), lambda n, m: seqmod.nonsquash_b(n), min_n=2,
-                            guard="nonsquash"),
-    ("delta", "unit"): Evaluator(("digits",), lambda n, m: seqmod.delta_pairs(n)),
+    ("S", "unit"): Evaluator("recurrence", lambda n, m: seqmod.paperfolding_s(n)),
+    ("r", "unit"): Evaluator("recurrence", lambda n, m: seqmod.grs_r(n)),
+    ("b", "unit"): Evaluator("recurrence", lambda n, m: seqmod.nonsquash_b(n), min_n=2,
+                             guard="nonsquash"),
+    ("delta", "unit"): Evaluator("digits", lambda n, m: seqmod.delta_pairs(n)),
 }
 SEQ_RULES = {seq: [r for s, r in REGISTRY if s == seq] for seq, _ in REGISTRY}
 
@@ -128,7 +119,7 @@ def cmd_table(ns) -> int:
         raise UsageError(f"need {entry.min_n} <= --from <= --to for --seq {ns.seq}")
     if entry.guard and ns.to > GUARDS[entry.guard]:
         raise UsageError(f"--seq {ns.seq} is guarded to --to <= {GUARDS[entry.guard]}")
-    method, value, lo = entry.method(m), entry.value, ns.frm
+    method, value, lo = entry.method, entry.value, ns.frm
     window = range(lo, ns.to + 1)
     # rows are written as they are computed; only n and the value vary, so
     # the fixed fields are formatted once per command
@@ -167,7 +158,7 @@ def _suite_oracle(max_n: int, max_m: int, rng):
         for m in range(entry.min_m, max_m + 1):
             sr = SequenceRule(rule, m)
             for n in range(min(max_n, _oracle_cap(sr)) + 1):
-                label = f"(n={n}, m={m}) {rule} {entry.method(m)} against the oracle"
+                label = f"(n={n}, m={m}) {rule} {entry.method} against the oracle"
                 yield label, entry.value(n, m), det_oracle(build_matrix(sr, n))
     for n in range(min(max_n, GUARDS["verify_cross"]) + 1):
         mat = build_matrix(SequenceRule("unit", 0), n)
@@ -217,23 +208,24 @@ def _suite_reflect(max_n: int, max_m: int, rng):
 
 
 def _suite_ldlt(max_n: int, max_m: int, rng):
-    for n in range(1, max_n + 1):
-        yield f"(n={n}) plain decomposition", ldlt_verify_plain(n), True
-        yield f"(n={n}) shifted decomposition", ldlt_verify_shifted(n), True
+    for n in range(1, min(max_n, GUARDS["ldlt"]) + 1):
+        yield f"(n={n}) plain decomposition", cf.ldlt_verify_plain(n), True
+        yield f"(n={n}) shifted decomposition", cf.ldlt_verify_shifted(n), True
 
 
 def _suite_cf(max_n: int, max_m: int, rng):
     order = min(max_n, contfrac.MAX_ORDER)
+    # series are compared as lists, which a failure line prints as [c0, c1, ...]
     for which in contfrac.IDENTITIES:
         spec, want = contfrac.identity_spec(which, order)
-        yield f"{which} at order {order}", contfrac.cf_expand(spec, order), want
+        yield f"{which} at order {order}", list(contfrac.cf_expand(spec, order)), list(want)
     # depth sufficiency on random +-1 coefficient sequences
     for trial in range(8):
         n = 24
         coeffs = [rng.choice((1, -1)) for _ in range(n + 1)]
         lo = contfrac.cf_expand(contfrac.CFSpec.s_fraction(coeffs[:n]), n)
         hi = contfrac.cf_expand(contfrac.CFSpec.s_fraction(coeffs), n)
-        yield f"depth sufficiency (trial {trial})", lo, hi
+        yield f"depth sufficiency (trial {trial})", list(lo), list(hi)
     # Favard t against Hankel determinant ratios of the base sequence
     for n in range(min(max_n, GUARDS["h_ratio"]) + 1):
         h = [det_oracle(build_matrix(SequenceRule("unit", 0), k)) for k in (n, n + 1, n + 2)]
@@ -244,12 +236,13 @@ def _suite_orthogonality(max_n: int, max_m: int, rng):
     cap = min(max_n, GUARDS["orthogonality"])
     for i in range(cap + 1):
         for j in range(i + 1, cap + 1):
-            yield f"(i={i}, j={j}) off-diagonal moment", moment_orthogonality(i, j), 0
+            yield f"(i={i}, j={j}) off-diagonal moment", contfrac.moment_orthogonality(i, j), 0
     for n in range(cap + 1):
         expect = 1
         for k in range(n):
             expect *= cf.T_int(k)
-        yield f"(n={n}) diagonal moment against the T-product", moment_orthogonality(n, n), expect
+        yield (f"(n={n}) diagonal moment against the T-product",
+               contfrac.moment_orthogonality(n, n), expect)
 
 
 def _suite_parity(max_n: int, max_m: int, rng):

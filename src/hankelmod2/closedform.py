@@ -1,8 +1,10 @@
 """Closed-form and recursive evaluators for the determinant sequences.
 
-Sign sequences d(n), D(n), T_n, the Favard coefficients, shifted
-determinants d(n, m), the exponent profile, the symbolic monomials, their
-specializations, and the check of the shifted-sign lemma at the residue points.
+Sign sequences d(n), D(n), T_n, the Favard coefficients, the LDL^t factors
+of the plain and shifted matrices (whose diagonal products are d(n) and
+D(n)), shifted determinants d(n, m), the exponent profile, the symbolic
+monomials, their specializations, and the checks of the shifted-sign lemma
+at the residue points.
 Every determinant is one signed permutation, so every symbolic d(n, m) is
 one monomial whose exponents form one tent table, ``shift_profile(n, m)``,
 read off the digit edges of 2n + m; d(n) and D(n) are its shifts 0 and 1.
@@ -20,8 +22,6 @@ that much.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import seq
 from .exactring import LaurentPoly
@@ -141,6 +141,80 @@ def favard_st(n: int) -> tuple[int, int]:
     t = T_int(2 * n) * T_int(2 * n + 1)
     s = T_int(0) if n == 0 else T_int(2 * n - 1) + T_int(2 * n)
     return s, t
+
+
+# ---------------------------------------------------------------------------
+# LDL^t factorizations of the plain and shifted Hankel matrices
+# ---------------------------------------------------------------------------
+
+
+def binom_parity(a: int, b: int) -> int:
+    """C(a, b) mod 2 by the digit rule: 1 iff the bits of b lie inside a."""
+    if b < 0 or b > a:
+        return 0
+    return 1 if a & b == b else 0
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def plain_lower_factor(n: int) -> list[list[int]]:
+    """Unit lower-triangular factor a(i, j) = s(i) s(j) C(2i+1, i-j) mod 2."""
+    return [
+        [seq.sign_s(i) * seq.sign_s(j) * binom_parity(2 * i + 1, i - j) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def plain_diagonal(n: int) -> list[int]:
+    """Diagonal entries (-1)^i of the plain decomposition; their product is d(n)."""
+    return [-1 if i & 1 else 1 for i in range(n)]
+
+
+def ldlt_verify_plain(n: int) -> bool:
+    """Check A D A^t = (a_{i+j}) entrywise for the plain Hankel matrix."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    a = plain_lower_factor(n)
+    d = plain_diagonal(n)
+    ad = [[a[i][k] * d[k] for k in range(n)] for i in range(n)]
+    at = [[a[j][i] for j in range(n)] for i in range(n)]
+    prod = _mat_mul(ad, at)
+    return all(
+        prod[i][j] == seq.bit_a(i + j) for i in range(n) for j in range(n)
+    )
+
+
+def shifted_lower_factor(n: int) -> list[list[int]]:
+    """Factor c(i, j) = C(2i+2, i-j) mod 2 * v(i) v(j) for the shifted matrix."""
+    return [
+        [binom_parity(2 * i + 2, i - j) * seq.sign_v(i) * seq.sign_v(j) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def shifted_diagonal(n: int) -> list[int]:
+    """Diagonal entries S(i) of the shifted decomposition; their product is D(n)."""
+    return [seq.paperfolding_s(i) for i in range(n)]
+
+
+def ldlt_verify_shifted(n: int) -> bool:
+    """Check C D C^t = (a_{i+j+1}) entrywise."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    c = shifted_lower_factor(n)
+    d = shifted_diagonal(n)
+    cd = [[c[i][k] * d[k] for k in range(n)] for i in range(n)]
+    ct = [[c[j][i] for j in range(n)] for i in range(n)]
+    prod = _mat_mul(cd, ct)
+    return all(
+        prod[i][j] == seq.bit_a(i + j + 1) for i in range(n) for j in range(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +482,6 @@ def specialize_det(kind: str, shifted: bool, n: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    m: int
-    K: int
-    max_n: int
-    conforms: bool
-    epsilon: int | None  # the derived constant for odd m, None for even m
-    violations: tuple[str, ...] = ()
-
-
 def conjecture_epsilon(m: int) -> int:
     """eps(m) for odd m >= 3: the parity of the number of runs of ones in
     2^{K+1} - m (see ``conjecture38_checks``)."""
@@ -460,11 +524,3 @@ def conjecture38_checks(m: int, max_n: int):
             yield (f"d({shift}, {m}) against (-1)^(n + {epsilon}) d(., 1)", d_shift_int(shift, m),
                    _pm(n + epsilon) * D_sign(shift))
 
-
-def conjecture38_scan(m: int, max_n: int) -> ConjectureReport:
-    """The checks of ``conjecture38_checks`` gathered into a report, one
-    ``label: got g, want w`` line per violation."""
-    violations = tuple(f"{label}: got {got}, want {want}"
-                       for label, got, want in conjecture38_checks(m, max_n) if got != want)
-    epsilon = conjecture_epsilon(m) if m % 2 else None
-    return ConjectureReport(m, _shift_class(m), max_n, not violations, epsilon, violations)

@@ -1,13 +1,17 @@
-"""Continued fractions expanded into exact truncated power series.
+"""Continued fractions expanded into exact truncated power series, and the
+orthogonal polynomials of the three-term recurrence.
 
 S-fractions carry one linear coefficient per level,
 1/(1 - c0 z/(1 - c1 z/(1 - ...))); J-fractions carry a linear and a
 quadratic one, 1/(1 - s0 z - t0 z^2/(1 - s1 z - ...)).  Expansion follows
 Flajolet's combinatorics of continued fractions: the coefficient of z^n of a
 J-fraction is a weighted count of Motzkin paths of length n, and an
-S-fraction is first turned into a J-fraction by even contraction.  Integer
-coefficients stay plain ints throughout; rational ones run through the same
-path sum.
+S-fraction is first turned into a J-fraction by even contraction.  A
+series mod z**order is the tuple of its order coefficients; integer
+coefficients stay plain ints throughout, rational ones run through the same
+path sum.  The J-fraction's three-term recurrence also defines the monic
+orthogonal polynomials ``orthopoly``, checked through their moment
+functional.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .closedform import T_int, favard_st
-from .exactring import TruncatedSeries
-from .seq import grs_r
+from .exactring import UniPoly
+from .seq import bit_a, grs_r
 
 
 class InsufficientDepthError(ValueError):
@@ -65,8 +69,9 @@ def _exact(c: Fraction) -> Fraction | int:
     return c.numerator if c.denominator == 1 else c
 
 
-def cf_expand(spec: CFSpec, order: int) -> TruncatedSeries:
-    """Expand the fraction to a series mod z**order.
+def cf_expand(spec: CFSpec, order: int) -> tuple[Fraction | int, ...]:
+    """Expand the fraction to a series mod z**order: its coefficients of
+    z^0 .. z^(order-1), ints where they are integers.
 
     The coefficient of z^n is the weighted count of Motzkin paths of length n
     from height 0 back to 0: an up step has weight 1, a level step at height
@@ -97,26 +102,26 @@ def cf_expand(spec: CFSpec, order: int) -> TruncatedSeries:
         top = min(step + 1, order - 2 - step)
         p = [0, *w, 0, 0]  # p[h], p[h+1], p[h+2]: from below, level, from above
         w = [p[h] + s[h] * p[h + 1] + t[h] * p[h + 2] for h in range(top + 1)]
-    return TruncatedSeries(coeffs, order)
+    return tuple(coeffs)
 
 
-def target_series(order: int, alternating: bool = False) -> TruncatedSeries:
+def target_series(order: int, alternating: bool = False) -> tuple[int, ...]:
     """sum_k (+-1)^k z^(2^k - 1) mod z**order."""
     if order < 1:
         raise ValueError("order must be positive")
-    coeffs = [Fraction(0)] * order
+    coeffs = [0] * order
     k = 0
     while (1 << k) - 1 < order:
-        coeffs[(1 << k) - 1] = Fraction(-1 if alternating and k & 1 else 1)
+        coeffs[(1 << k) - 1] = -1 if alternating and k & 1 else 1
         k += 1
-    return TruncatedSeries(coeffs, order)
+    return tuple(coeffs)
 
 
 IDENTITIES = ("eq217", "eq228", "eq08")
 MAX_ORDER = 1024  # largest order the identity checks accept
 
 
-def identity_spec(which: str, order: int) -> tuple[CFSpec, TruncatedSeries]:
+def identity_spec(which: str, order: int) -> tuple[CFSpec, tuple[int, ...]]:
     """The fraction and the target series of one of the three identities.
 
     eq217: S-fraction with c_n = T_n equals sum_k z^(2^k-1).
@@ -142,3 +147,45 @@ def verify_identity(which: str, order: int) -> bool:
         raise ValueError(f"identity checks are guarded to order <= {MAX_ORDER}")
     spec, want = identity_spec(which, order)
     return cf_expand(spec, order) == want
+
+
+# ---------------------------------------------------------------------------
+# Orthogonal polynomials of the Favard recurrence
+# ---------------------------------------------------------------------------
+
+
+def orthopoly(n: int, t_values=None) -> UniPoly:
+    """Monic orthogonal polynomial p_n via p_n = x p_{n-1} - T_{n-2} p_{n-2}.
+
+    ``t_values`` must provide at least n-1 leading coefficients; by default
+    they are the closed-form integer T-sequence.
+    """
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    if t_values is None:
+        t_values = [T_int(k) for k in range(max(0, n - 1))]
+    elif len(t_values) < n - 1:
+        raise ValueError(f"p_{n} needs {n - 1} leading coefficients, got {len(t_values)}")
+    p_prev = UniPoly([1])
+    if n == 0:
+        return p_prev
+    p_cur = UniPoly([0, 1])
+    for k in range(2, n + 1):
+        p_prev, p_cur = p_cur, p_cur.shift_up() - t_values[k - 2] * p_prev
+    return p_cur
+
+
+# largest index ``moment_orthogonality`` takes: the moment sum multiplies two
+# dense polynomials of degree up to the index
+MOMENT_CAP = 20
+
+
+def moment_orthogonality(i: int, j: int) -> int:
+    """L(p_i p_j) with moments L(x^t) = A_t = bit_a(t + 1); zero for i != j.
+
+    Indices above ``MOMENT_CAP`` are rejected.
+    """
+    if i > MOMENT_CAP or j > MOMENT_CAP:
+        raise ValueError(f"moment check is guarded to indices <= {MOMENT_CAP}")
+    prod = orthopoly(i) * orthopoly(j)
+    return sum(c * bit_a(t + 1) for t, c in enumerate(prod.coeffs))

@@ -6,10 +6,6 @@
   specialization variable printed as ``x``.
 * ``UniPoly`` -- dense univariate integer polynomials (orthogonal
   polynomial recurrences).
-* ``TruncatedSeries`` -- power series in z over ``fractions.Fraction``,
-  truncated at a stated order (the result type of continued-fraction
-  expansion; its ring operations are the reference that expansion is
-  tested against).
 
 No floats anywhere.
 """
@@ -103,12 +99,6 @@ class ExponentVector:
 
     def negate(self) -> "ExponentVector":
         return ExponentVector((k, -e) for k, e in self._items)
-
-    def scale(self, c: int) -> "ExponentVector":
-        return ExponentVector((k, c * e) for k, e in self._items)
-
-    def is_trivial(self) -> bool:
-        return not self._items
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExponentVector) and self._items == other._items
@@ -455,92 +445,4 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)})"
-
-
-class TruncatedSeries:
-    """Power series over Fraction truncated at z**order."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs: Iterable[Fraction | int], order: int):
-        if order < 1:
-            raise ValueError("order must be positive")
-        cs = [Fraction(c) for c in coeffs][:order]
-        cs.extend([Fraction(0)] * (order - len(cs)))
-        self.order = order
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1], order)
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([], order)
-
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i]
-
-    def _binop(self, other: "TruncatedSeries", op) -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [op(self.coeffs[i], other.coeffs[i]) for i in range(order)], order
-        )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self._binop(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self._binop(other, lambda a, b: a - b)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        out = [Fraction(0)] * order
-        for i in range(order):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(order - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(out, order)
-
-    def scale(self, c: Fraction | int) -> "TruncatedSeries":
-        c = Fraction(c)
-        return TruncatedSeries([a * c for a in self.coeffs], self.order)
-
-    def shift(self, k: int = 1) -> "TruncatedSeries":
-        """Multiply by z**k (truncating)."""
-        return TruncatedSeries([Fraction(0)] * k + list(self.coeffs), self.order)
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse mod z**order; the constant term must be a unit."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv = [Fraction(1) / c0]
-        for n in range(1, self.order):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                if self.coeffs[i]:
-                    acc += self.coeffs[i] * inv[n - i]
-            inv.append(-acc / c0)
-        return TruncatedSeries(inv, self.order)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({self}, order={self.order})"
 

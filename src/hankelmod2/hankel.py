@@ -7,19 +7,19 @@ over polynomials) exploit that.  On the integer rules the whole Bareiss path
 is close to linear in n: ``build_matrix`` asks the rule for only the
 O(log n) power-of-two antidiagonals, ``rows()`` writes each nonzero once,
 elimination updates rows in place (pivots are +-1 and rows stay short), and
-the sign of the row selection is a cycle count.  Neither oracle imports a
-closed form or falls back to one.
+the sign of the row selection is a cycle count.  ``catalan_shift_parity``
+is a third, mod-2 oracle: the parity of the shifted Catalan determinant
+from the 2-adic valuations of its product formula.  This module imports
+only ``exactring`` and the standard library, so no oracle can call a
+closed form or fall back to one.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .closedform import T_int, blocks_sign, nimble_blocks
-from .exactring import XVAR, LaurentPoly, UniPoly
-from .seq import bit_a, paperfolding_s, sign_s, sign_v
+from .exactring import XVAR, LaurentPoly
 
 INTEGER_KINDS = frozenset({"unit", "grs", "custom"})
 SYMBOLIC_KINDS = frozenset({"generic", "powers", "doubling"})
@@ -271,155 +271,6 @@ def det_oracle(matrix: HankelMatrix, engine: str = "auto"):
             return LaurentPoly.constant(det)
         return det
     raise ValueError(f"unknown engine {engine!r}")
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    images: tuple[int, ...]
-    sign: int
-
-    def __len__(self) -> int:
-        return len(self.images)
-
-
-def nimble_solve(n: int, m: int = 0) -> SignedPermutation | None:
-    """The unique permutation with i + pi(i) + m + 1 a power of two, if any.
-
-    Filled in from the descending interval-reversal blocks of
-    ``closedform.nimble_blocks``: the largest admissible power of two forces
-    an order-reversing block at the top, then the prefix is handled the same
-    way.  None when some row has no admissible image.
-    """
-    blocks = nimble_blocks(n, m)
-    if blocks is None:
-        return None
-    images = [0] * n
-    hi = n
-    for k, length in blocks:
-        lo = hi - length
-        for i in range(lo, hi):
-            images[i] = (1 << k) - 1 - m - i
-        hi = lo
-    return SignedPermutation(tuple(images), blocks_sign(blocks))
-
-
-def nimble_enumerate(n: int, m: int = 0) -> list[SignedPermutation]:
-    """Brute-force all permutations whose determinant term survives (n <= 10)."""
-    if n > 10:
-        raise ValueError(f"enumeration is guarded to n <= 10, got {n}")
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
-    found = []
-    for perm in itertools.permutations(range(n)):
-        if all(bit_a(i + perm[i] + m) for i in range(n)):
-            found.append(SignedPermutation(perm, _perm_parity(perm)))
-    return found
-
-
-def binom_parity(a: int, b: int) -> int:
-    """C(a, b) mod 2 by the digit rule: 1 iff the bits of b lie inside a."""
-    if b < 0 or b > a:
-        return 0
-    return 1 if a & b == b else 0
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def plain_lower_factor(n: int) -> list[list[int]]:
-    """Unit lower-triangular factor a(i, j) = s(i) s(j) C(2i+1, i-j) mod 2."""
-    return [
-        [sign_s(i) * sign_s(j) * binom_parity(2 * i + 1, i - j) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def plain_diagonal(n: int) -> list[int]:
-    """Diagonal entries (-1)^i of the plain decomposition."""
-    return [-1 if i & 1 else 1 for i in range(n)]
-
-
-def ldlt_verify_plain(n: int) -> bool:
-    """Check A D A^t = (a_{i+j}) entrywise for the plain Hankel matrix."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    a = plain_lower_factor(n)
-    d = plain_diagonal(n)
-    ad = [[a[i][k] * d[k] for k in range(n)] for i in range(n)]
-    at = [[a[j][i] for j in range(n)] for i in range(n)]
-    prod = _mat_mul(ad, at)
-    return all(
-        prod[i][j] == bit_a(i + j) for i in range(n) for j in range(n)
-    )
-
-
-def shifted_lower_factor(n: int) -> list[list[int]]:
-    """Factor c(i, j) = C(2i+2, i-j) mod 2 * v(i) v(j) for the shifted matrix."""
-    return [
-        [binom_parity(2 * i + 2, i - j) * sign_v(i) * sign_v(j) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def shifted_diagonal(n: int) -> list[int]:
-    """Diagonal entries S(i) of the shifted decomposition."""
-    return [paperfolding_s(i) for i in range(n)]
-
-
-def ldlt_verify_shifted(n: int) -> bool:
-    """Check C D C^t = (a_{i+j+1}) entrywise."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    c = shifted_lower_factor(n)
-    d = shifted_diagonal(n)
-    cd = [[c[i][k] * d[k] for k in range(n)] for i in range(n)]
-    ct = [[c[j][i] for j in range(n)] for i in range(n)]
-    prod = _mat_mul(cd, ct)
-    return all(
-        prod[i][j] == bit_a(i + j + 1) for i in range(n) for j in range(n)
-    )
-
-
-def orthopoly(n: int, t_values=None) -> UniPoly:
-    """Monic orthogonal polynomial p_n via p_n = x p_{n-1} - T_{n-2} p_{n-2}.
-
-    ``t_values`` must provide at least n-1 leading coefficients; by default
-    they are the closed-form integer T-sequence.
-    """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if t_values is None:
-        t_values = [T_int(k) for k in range(max(0, n - 1))]
-    elif len(t_values) < n - 1:
-        raise ValueError(f"p_{n} needs {n - 1} leading coefficients, got {len(t_values)}")
-    p_prev = UniPoly([1])
-    if n == 0:
-        return p_prev
-    p_cur = UniPoly([0, 1])
-    for k in range(2, n + 1):
-        p_prev, p_cur = p_cur, p_cur.shift_up() - t_values[k - 2] * p_prev
-    return p_cur
-
-
-# largest index ``moment_orthogonality`` takes: the moment sum multiplies two
-# dense polynomials of degree up to the index
-MOMENT_CAP = 20
-
-
-def moment_orthogonality(i: int, j: int) -> int:
-    """L(p_i p_j) with moments L(x^t) = A_t = bit_a(t + 1); zero for i != j.
-
-    Indices above ``MOMENT_CAP`` are rejected.
-    """
-    if i > MOMENT_CAP or j > MOMENT_CAP:
-        raise ValueError(f"moment check is guarded to indices <= {MOMENT_CAP}")
-    prod = orthopoly(i) * orthopoly(j)
-    return sum(c * bit_a(t + 1) for t, c in enumerate(prod.coeffs))
 
 
 def _v2(x: int) -> int:

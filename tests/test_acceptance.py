@@ -9,35 +9,29 @@ only tolerances are the stated wall-clock budgets).
 import math
 import time
 
+from hankelmod2.cli import run_suite
 from hankelmod2.closedform import (
     D_sign,
     T_int,
-    conjecture38_scan,
+    conjecture38_checks,
+    conjecture_epsilon,
     d_shift_generic,
     d_shift_int,
     d_sign,
     generic_D,
     generic_d,
+    ldlt_verify_plain,
+    ldlt_verify_shifted,
+    plain_diagonal,
+    plain_lower_factor,
     shift_profile,
     shift_support,
 )
-from hankelmod2.contfrac import verify_identity
+from hankelmod2.contfrac import moment_orthogonality, orthopoly, verify_identity
 from hankelmod2.exactring import LaurentPoly
-from hankelmod2.hankel import (
-    SequenceRule,
-    build_matrix,
-    catalan_shift_parity,
-    det_oracle,
-    ldlt_verify_plain,
-    ldlt_verify_shifted,
-    moment_orthogonality,
-    nimble_enumerate,
-    nimble_solve,
-    orthopoly,
-    plain_diagonal,
-    plain_lower_factor,
-)
+from hankelmod2.hankel import SequenceRule, build_matrix, catalan_shift_parity, det_oracle
 from hankelmod2.seq import nonsquash_b, paperfolding_s
+from test_hankel import block_images, nimble_enumerate
 
 P = LaurentPoly.parse
 
@@ -138,11 +132,11 @@ def test_criterion_08_nimble_uniqueness():
             found = nimble_enumerate(n, m)
             det = det_oracle(build_matrix(SequenceRule("unit", m), n))
             assert len(found) <= 1, (n, m)
-            solved = nimble_solve(n, m)
+            solved = block_images(n, m)
             if det != 0:
                 assert len(found) == 1, (n, m)
                 assert found[0] == solved, (n, m)
-                assert found[0].sign == det, (n, m)
+                assert found[0][1] == det, (n, m)
             else:
                 assert found == [] and solved is None, (n, m)
     _report(8, "exhaustive enumeration: unique nimble permutation iff det != 0")
@@ -170,15 +164,10 @@ def test_criterion_10_parity_product():
 
 
 def test_criterion_11_conjecture_scan():
-    fitted = {}
     for m in range(3, 17):
-        report = conjecture38_scan(m, 64)
-        assert report.conforms, (m, report.violations)
-        if m % 2:
-            assert report.epsilon in (0, 1), m
-            fitted[m] = report.epsilon
-            # stability: a shorter scan fits the same constant
-            assert conjecture38_scan(m, 16).epsilon == report.epsilon, m
+        checks, violations = run_suite(conjecture38_checks(m, 64))
+        assert checks == 128 and not violations, (m, violations)
+    fitted = {m: conjecture_epsilon(m) for m in range(3, 17, 2)}
     _report(11, f"scans conform for m = 3..16; eps = {fitted}")
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import hankelmod2
-from hankelmod2 import closedform, contfrac, hankel
+from hankelmod2 import closedform, contfrac
 from hankelmod2 import seq as seqmod
 from hankelmod2.cli import CHECK_SUITES, GUARDS, REGISTRY, RULE_CHOICES, SEQ_RULES, _build_parser, main
 from hankelmod2.exactring import LaurentPoly
@@ -166,7 +166,7 @@ def table_cases():
 def table_reference(fmt, seq, rule, m, lo, hi):
     """The table as a per-row dict through csv.DictWriter or json.dumps."""
     entry = REGISTRY[(seq, rule)]
-    records = [{"n": n, "m": m, "rule": rule, "method": entry.method(m),
+    records = [{"n": n, "m": m, "rule": rule, "method": entry.method,
                 "value": str(entry.value(n, m))} for n in range(lo, hi + 1)]
     if fmt == "json":
         return "[" + ", ".join(json.dumps(rec) for rec in records) + "]\n"
@@ -325,14 +325,24 @@ def test_verify_orthogonality_and_h_ratio_caps_come_from_the_guard_table(capsys,
     assert code == 0 and out == f"ok orthogonality ({6 * 5 // 2 + 6} checks)\n"
     # the table's cap is the library's own index guard
     monkeypatch.undo()
-    assert GUARDS["orthogonality"] == hankel.MOMENT_CAP
+    assert GUARDS["orthogonality"] == contfrac.MOMENT_CAP
     code, out, _ = run_cli(capsys, "verify", "--suite", "orthogonality", "--max-n", "30")
-    cap = hankel.MOMENT_CAP
+    cap = contfrac.MOMENT_CAP
     assert code == 0 and out == f"ok orthogonality ({(cap + 1) * cap // 2 + cap + 1} checks)\n"
     # three identities, eight depth-sufficiency trials, then n = 0..cap
     monkeypatch.setitem(GUARDS, "h_ratio", 3)
     code, out, _ = run_cli(capsys, "verify", "--suite", "cf", "--max-n", "10")
     assert code == 0 and out == f"ok cf ({3 + 8 + 4} checks)\n"
+
+
+def test_verify_ldlt_cap_comes_from_the_guard_table(capsys, monkeypatch):
+    # each n multiplies dense n x n factors, so a huge --max-n stops at the
+    # guard: n = 1..64, two decompositions each
+    code, out, _ = run_cli(capsys, "verify", "--suite", "ldlt", "--max-n", "1000000")
+    assert code == 0 and out == "ok ldlt (128 checks)\n"
+    monkeypatch.setitem(GUARDS, "ldlt", 3)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "ldlt", "--max-n", "10")
+    assert code == 0 and out == "ok ldlt (6 checks)\n"
 
 
 def test_verify_conjecture_checks_m2_and_counts(capsys):

@@ -5,15 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelmod2 import closedform
+from hankelmod2.cli import run_suite
 from hankelmod2.closedform import (
-    ConjectureReport,
     D_METHODS,
     D_sign,
     T_METHODS,
     T_int,
     blocks_sign,
     conjecture38_checks,
-    conjecture38_scan,
     conjecture_epsilon,
     d_shift_generic,
     d_shift_int,
@@ -579,12 +578,15 @@ def test_oracle_equivalence_unshifted():
         assert det_oracle(build_matrix(SequenceRule("generic", 1), n)) == generic_D(n)
 
 
+def _violations(m, max_n):
+    """The ``label: got g, want w`` lines of the conjecture checks that fail,
+    tallied as ``verify --suite conjecture`` tallies them."""
+    return run_suite(conjecture38_checks(m, max_n))[1]
+
+
 def test_conjecture_scan_even():
-    rep = conjecture38_scan(4, 64)
-    assert isinstance(rep, ConjectureReport)
-    assert rep.conforms and rep.epsilon is None and rep.K == 1
-    rep = conjecture38_scan(6, 64)
-    assert rep.conforms
+    assert _violations(4, 64) == []
+    assert _violations(6, 64) == []
     # spot check the claimed values directly
     for n in range(1, 30):
         assert d_shift_int(8 * n, 6) == 1
@@ -592,18 +594,16 @@ def test_conjecture_scan_even():
 
 
 def test_conjecture_scan_odd_fits_epsilon():
-    rep = conjecture38_scan(3, 64)
-    assert rep.conforms and rep.epsilon in (0, 1)
-    again = conjecture38_scan(3, 32)
-    assert again.epsilon == rep.epsilon  # stable fit
+    assert _violations(3, 64) == []
+    # 2^2 - 3 = 1 has one run of ones, and the checks use that eps
+    assert conjecture_epsilon(3) == 1
+    assert "d(1, 3) against (-1)^(n + 1) d(., 1)" in [c[0] for c in conjecture38_checks(3, 64)]
 
 
 def test_conjecture_scan_m2_has_its_own_form():
     # d(2n, 2) = (-1)^n and d(2n - 2, 2) = (-1)^(n+1), not the +1 and -1 of
     # the other shifts 2 mod 4
-    rep = conjecture38_scan(2, 512)
-    assert rep.conforms and rep.epsilon is None
-    assert len(list(conjecture38_checks(2, 512))) == 1024
+    assert run_suite(conjecture38_checks(2, 512)) == (1024, [])
 
 
 def test_conjecture_epsilon_is_the_fitted_constant():
@@ -612,21 +612,18 @@ def test_conjecture_epsilon_is_the_fitted_constant():
         eps = conjecture_epsilon(m)
         for n in range(1, 65):
             assert d_shift_int(period * n - m, m) == (-1) ** (n + eps) * D_sign(period * n - m), (m, n)
-        rep = conjecture38_scan(m, 256)
-        assert rep.conforms and rep.epsilon == eps, m
+        assert _violations(m, 256) == [], m
 
 
 def test_conjecture_scan_reports_violations(monkeypatch):
     monkeypatch.setattr(closedform, "d_shift_int", lambda n, m: 1)
-    rep = conjecture38_scan(2, 4)
-    assert not rep.conforms
     # P n - m at n + 1 is P n at n when m = 2: each wrong value shows twice
-    assert rep.violations == ("d(2, 2): got 1, want -1",) * 2 + ("d(6, 2): got 1, want -1",) * 2
-    assert not conjecture38_scan(3, 64).conforms
+    assert _violations(2, 4) == ["d(2, 2): got 1, want -1"] * 2 + ["d(6, 2): got 1, want -1"] * 2
+    assert _violations(3, 64)
 
 
 def test_conjecture_scan_guards():
     with pytest.raises(ValueError):
-        conjecture38_scan(1, 8)
+        _violations(1, 8)
     with pytest.raises(ValueError):
-        conjecture38_scan(4, 0)
+        _violations(4, 0)

@@ -15,7 +15,6 @@ from hankelmod2.contfrac import (
     target_series,
     verify_identity,
 )
-from hankelmod2.exactring import TruncatedSeries
 from hankelmod2.hankel import SequenceRule, build_matrix, det_oracle
 from hankelmod2.seq import grs_r
 
@@ -28,18 +27,97 @@ def catalan_prefix(n):
     return c
 
 
+class TruncatedSeries:
+    """Power series over Fraction truncated at z**order: the ring that the
+    reference expansion below inverts in."""
+
+    def __init__(self, coeffs, order):
+        cs = [Fraction(c) for c in coeffs][:order]
+        self.order = order
+        self.coeffs = tuple(cs + [Fraction(0)] * (order - len(cs)))
+
+    @classmethod
+    def one(cls, order):
+        return cls([1], order)
+
+    def __add__(self, other):
+        order = min(self.order, other.order)
+        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], order)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __mul__(self, other):
+        order = min(self.order, other.order)
+        out = [Fraction(0)] * order
+        for i in range(order):
+            for j in range(order - i):
+                out[i + j] += self.coeffs[i] * other.coeffs[j]
+        return TruncatedSeries(out, order)
+
+    def scale(self, c):
+        return TruncatedSeries([a * c for a in self.coeffs], self.order)
+
+    def shift(self, k=1):
+        """Multiply by z**k (truncating)."""
+        return TruncatedSeries([0] * k + list(self.coeffs), self.order)
+
+    def inverse(self):
+        """Multiplicative inverse mod z**order; the constant term must be a unit."""
+        c0 = self.coeffs[0]
+        if c0 == 0:
+            raise ZeroDivisionError("series with zero constant term has no inverse")
+        inv = [1 / c0]
+        for n in range(1, self.order):
+            inv.append(-sum(self.coeffs[i] * inv[n - i] for i in range(1, n + 1)) / c0)
+        return TruncatedSeries(inv, self.order)
+
+    def __eq__(self, other):
+        return self.order == other.order and self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"TruncatedSeries({list(self.coeffs)}, order={self.order})"
+
+
 def reference_expand(spec, order):
     # independent reference: bottom-up over every level the spec has, tail
-    # set to 1, one series inversion per level
+    # set to 1, one series inversion per level; the coefficient tuple
     one = TruncatedSeries.one(order)
     g = one
     if spec.shape == "s":
         for c in reversed(spec.linear):
             g = (one - g.scale(c).shift(1)).inverse()
-        return g
+        return g.coeffs
     for s, t in reversed(list(zip(spec.linear, spec.quadratic))):
         g = (one - TruncatedSeries([0, s], order) - g.scale(t).shift(2)).inverse()
-    return g
+    return g.coeffs
+
+
+def test_series_inverse_examples():
+    s = TruncatedSeries([1, -1], 4)  # 1 - z
+    assert s.inverse() == TruncatedSeries([1, 1, 1, 1], 4)
+    assert TruncatedSeries([1], 3).inverse() == TruncatedSeries([1], 3)
+    assert TruncatedSeries([1, 1], 3).inverse() == TruncatedSeries([1, -1, 1], 3)
+
+
+def test_series_inverse_requires_unit():
+    with pytest.raises(ZeroDivisionError):
+        TruncatedSeries([0, 1], 3).inverse()
+
+
+def test_series_order_is_min_of_operands():
+    a = TruncatedSeries([1, 2, 3], 3)
+    b = TruncatedSeries([1, 1], 2)
+    assert (a * b).order == 2
+    assert (a + b).order == 2
+
+
+@given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_series_inverse_property(coeffs):
+    order = len(coeffs)
+    s = TruncatedSeries(coeffs, order)
+    assert s * s.inverse() == TruncatedSeries.one(order)
 
 
 coefficients = st.one_of(
@@ -71,7 +149,7 @@ def test_path_sum_matches_inversion_reference(case):
 
 def test_catalan_expansion():
     spec = CFSpec.s_fraction([1] * 5)
-    assert cf_expand(spec, 5) == TruncatedSeries(catalan_prefix(5), 5)
+    assert cf_expand(spec, 5) == tuple(catalan_prefix(5))
     assert catalan_prefix(5) == [1, 1, 2, 5, 14]
 
 
@@ -87,11 +165,9 @@ def test_j_fraction_with_favard_coefficients():
 
 
 def test_target_series_examples():
-    plain = target_series(8)
-    assert list(plain.coeffs) == [1, 1, 0, 1, 0, 0, 0, 1]
-    alt = target_series(8, alternating=True)
-    assert list(alt.coeffs) == [1, -1, 0, 1, 0, 0, 0, -1]
-    assert list(target_series(1).coeffs) == [1]
+    assert target_series(8) == (1, 1, 0, 1, 0, 0, 0, 1)
+    assert target_series(8, alternating=True) == (1, -1, 0, 1, 0, 0, 0, -1)
+    assert target_series(1) == (1,)
 
 
 def test_verify_identities_at_64():
@@ -126,7 +202,7 @@ def test_depth_guard():
     with pytest.raises(InsufficientDepthError):
         cf_expand(CFSpec.j_fraction([0, 0], [1, 1]), 5)
     # j-fraction needs only ceil(N/2) levels
-    assert cf_expand(CFSpec.j_fraction([0, 0], [1, 1]), 4).order == 4
+    assert len(cf_expand(CFSpec.j_fraction([0, 0], [1, 1]), 4)) == 4
 
 
 def test_depth_sufficiency_randomized():

@@ -8,7 +8,6 @@ from hankelmod2.exactring import (
     XVAR,
     ExponentVector,
     LaurentPoly,
-    TruncatedSeries,
     UniPoly,
     monomial_text,
     var_index_from_subscript,
@@ -226,29 +225,3 @@ def test_unipoly_basics():
     assert p.shift_up() == UniPoly([0, -1, 0, 1])
     assert UniPoly([0, 0, 0]) == UniPoly([])  # trailing zeros trimmed
 
-
-def test_series_inverse_examples():
-    s = TruncatedSeries([1, -1], 4)  # 1 - z
-    assert s.inverse() == TruncatedSeries([1, 1, 1, 1], 4)
-    assert TruncatedSeries([1], 3).inverse() == TruncatedSeries([1], 3)
-    assert TruncatedSeries([1, 1], 3).inverse() == TruncatedSeries([1, -1, 1], 3)
-
-
-def test_series_inverse_requires_unit():
-    with pytest.raises(ZeroDivisionError):
-        TruncatedSeries([0, 1], 3).inverse()
-
-
-def test_series_order_is_min_of_operands():
-    a = TruncatedSeries([1, 2, 3], 3)
-    b = TruncatedSeries([1, 1], 2)
-    assert (a * b).order == 2
-    assert (a + b).order == 2
-
-
-@given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=10))
-@settings(max_examples=100, deadline=None)
-def test_series_inverse_property(coeffs):
-    order = len(coeffs)
-    s = TruncatedSeries(coeffs, order)
-    assert s * s.inverse() == TruncatedSeries.one(order)

@@ -1,27 +1,29 @@
+import ast
+import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hankelmod2.closedform import T_int, d_sign, D_sign, shift_support
-from hankelmod2.exactring import XVAR, LaurentPoly, UniPoly
-from hankelmod2.hankel import (
-    SequenceRule,
-    SignedPermutation,
+from hankelmod2.closedform import (
+    T_int,
     binom_parity,
-    build_matrix,
-    catalan_shift_parity,
-    det_oracle,
+    blocks_sign,
+    d_sign,
+    D_sign,
     ldlt_verify_plain,
     ldlt_verify_shifted,
-    moment_orthogonality,
-    nimble_enumerate,
-    nimble_solve,
-    orthopoly,
+    nimble_blocks,
     plain_diagonal,
     plain_lower_factor,
+    shift_support,
     shifted_diagonal,
 )
+from hankelmod2.contfrac import moment_orthogonality, orthopoly
+from hankelmod2.exactring import XVAR, LaurentPoly, UniPoly
+from hankelmod2.hankel import SequenceRule, build_matrix, catalan_shift_parity, det_oracle
 
 UNIT = SequenceRule("unit", 0)
 UNIT1 = SequenceRule("unit", 1)
@@ -112,15 +114,12 @@ def test_custom_rule():
     mat = build_matrix(rule, 5)
     assert mat.entry(0, 0) == 2 and mat.entry(1, 2) == 5
     brute = sum(
-        p.sign * math.prod(mat.entry(i, p.images[i]) for i in range(5))
-        for p in (SignedPermutation(perm, _parity(perm)) for perm in _perms(5))
+        _parity(perm) * math.prod(mat.entry(i, perm[i]) for i in range(5)) for perm in _perms(5)
     )
     assert det_oracle(mat) == brute
 
 
 def _perms(n):
-    import itertools
-
     return itertools.permutations(range(n))
 
 
@@ -265,29 +264,47 @@ def test_build_matrix_visits_exactly_the_nonzero_antidiagonals():
                 assert build_matrix(rule, n).diagonals == want
 
 
+def nimble_enumerate(n, m=0):
+    """Brute force: every (images, sign) whose determinant term survives,
+    that is with i + pi(i) + m + 1 a power of two in every row."""
+    return [(perm, _parity(perm)) for perm in _perms(n)
+            if all((i + j + m + 1) & (i + j + m) == 0 for i, j in enumerate(perm))]
+
+
+def block_images(n, m=0):
+    """(images, sign) of the permutation ``nimble_blocks(n, m)`` describes,
+    or None: each block (k, L) maps the top L open rows order-reversing
+    through antidiagonal 2^k - m - 1."""
+    blocks = nimble_blocks(n, m)
+    if blocks is None:
+        return None
+    images = [0] * n
+    hi = n
+    for k, length in blocks:
+        for i in range(hi - length, hi):
+            images[i] = (1 << k) - 1 - m - i
+        hi -= length
+    return tuple(images), blocks_sign(blocks)
+
+
 def test_nimble_examples():
-    assert nimble_solve(5, 0) == SignedPermutation((0, 2, 1, 4, 3), 1)
-    assert nimble_solve(4, 1).images == (2, 1, 0, 3)
-    assert nimble_solve(6, 3) is None
-    assert nimble_solve(3, 0) == SignedPermutation((0, 2, 1), -1)
-    assert nimble_solve(0, 0) == SignedPermutation((), 1)
+    assert block_images(5, 0) == ((0, 2, 1, 4, 3), 1)
+    assert block_images(4, 1)[0] == (2, 1, 0, 3)
+    assert block_images(6, 3) is None
+    assert block_images(3, 0) == ((0, 2, 1), -1)
+    assert block_images(0, 0) == ((), 1)
 
 
 def test_nimble_first_permutations():
     # pi_1 .. pi_5 in image notation
     expected = [(0,), (1, 0), (0, 2, 1), (3, 2, 1, 0), (0, 2, 1, 4, 3)]
-    assert [nimble_solve(n, 0).images for n in range(1, 6)] == expected
+    assert [block_images(n, 0)[0] for n in range(1, 6)] == expected
 
 
 def test_nimble_enumerate_examples():
-    assert nimble_enumerate(5, 0) == [SignedPermutation((0, 2, 1, 4, 3), 1)]
-    assert nimble_enumerate(3, 0) == [SignedPermutation((0, 2, 1), -1)]
+    assert nimble_enumerate(5, 0) == [((0, 2, 1, 4, 3), 1)]
+    assert nimble_enumerate(3, 0) == [((0, 2, 1), -1)]
     assert nimble_enumerate(6, 3) == []
-
-
-def test_nimble_enumerate_guard():
-    with pytest.raises(ValueError):
-        nimble_enumerate(11, 0)
 
 
 def test_nimble_uniqueness_small():
@@ -297,10 +314,10 @@ def test_nimble_uniqueness_small():
             det = det_oracle(build_matrix(SequenceRule("unit", m), n))
             assert len(found) == (1 if det != 0 else 0), (n, m)
             if found:
-                assert found[0] == nimble_solve(n, m)
-                assert found[0].sign == det
+                assert found[0] == block_images(n, m)
+                assert found[0][1] == det
             else:
-                assert nimble_solve(n, m) is None
+                assert block_images(n, m) is None
 
 
 def test_binom_parity_against_comb():
@@ -428,3 +445,50 @@ def test_oracle_matches_sign_closed_forms():
     for n in range(0, 80):
         assert det_oracle(build_matrix(UNIT, n)) == d_sign(n)
         assert det_oracle(build_matrix(UNIT1, n)) == D_sign(n)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hankelmod2"
+
+
+def _imports(path):
+    """(package modules, absolute top-level modules) a file imports anywhere,
+    function bodies included; ``from . import x`` names module x."""
+    package, absolute = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            absolute.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                package.add(node.module.split(".")[0])
+            else:
+                package.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module.split(".")[0])
+    return package, absolute
+
+
+def _reach(module):
+    """{package module: its absolute imports} for every module that ``module``
+    reaches through relative imports, itself included."""
+    reached, todo = {}, [module]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            package, reached[name] = _imports(PACKAGE / f"{name}.py")
+            todo.extend(package)
+    return reached
+
+
+def test_oracle_module_imports_no_closed_form():
+    # the oracles reach nothing but the exact rings and the standard library
+    reached = _reach("hankel")
+    assert set(reached) <= {"hankel", "exactring"}, sorted(reached)
+    for name, absolute in reached.items():
+        assert absolute <= sys.stdlib_module_names, (name, absolute - sys.stdlib_module_names)
+    # the benchmark's output checks are computed apart from the program
+    package, absolute = _imports(ROOT / "bench" / "checks.py")
+    assert not package and "hankelmod2" not in absolute, (package, absolute)
+    # a closed form never calls the oracle it is checked against
+    for name in ("closedform", "contfrac"):
+        assert "hankel" not in _reach(name), name
