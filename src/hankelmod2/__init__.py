@@ -2,17 +2,23 @@
 
 Library layout:
   seq        -- binary-digit counters and sign sequences
-  exactring  -- Laurent polynomials, integer polynomials
+  monomial   -- the one-term Laurent monomials every symbolic closed form
+                returns, and the one monomial renderer; imports nothing
+                from the package
+  exactring  -- multi-term Laurent polynomials (the cofactor oracle's
+                ring), integer polynomials
   hankel     -- matrix construction and the determinant oracles; imports no
                 closed form
   closedform -- every closed-form / recursive determinant evaluator, the
-                interval-reversal blocks, LDL^t factors
+                interval-reversal blocks, LDL^t factors; reaches no oracle
+                and not the oracles' ring
   contfrac   -- continued-fraction expansion, identity checks, orthogonal
                 polynomials
   cli        -- table / verify / bench / det command line
 """
 
 from .exactring import LaurentPoly, UniPoly
+from .monomial import Monomial
 from .hankel import HankelMatrix, SequenceRule, build_matrix, det_oracle
 from .closedform import (
     D_sign,
@@ -27,6 +33,7 @@ from .closedform import (
 )
 
 __all__ = [
+    "Monomial",
     "LaurentPoly",
     "UniPoly",
     "HankelMatrix",

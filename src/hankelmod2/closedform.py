@@ -19,17 +19,16 @@ tent's kinks.  The recursive cross-checks (``D_sign(n, "recurrence")``,
 operations per binary digit.  An exponent profile or a symbolic
 determinant monomial is Theta(log^2 n) bits of output, and costs about
 that much.
+Every symbolic value is a ``monomial.Monomial`` built straight from the
+ascending exponent pairs its evaluator already has: nothing here sorts,
+filters or hashes exponents, and nothing here reaches the oracles' ring
+``exactring.LaurentPoly``.
 """
 
 from __future__ import annotations
 
 from . import seq
-from .exactring import LaurentPoly
-
-
-def _binom2_parity(x: int) -> int:
-    """C(x, 2) mod 2: bit 1 of x."""
-    return (x & 2) >> 1
+from .monomial import Monomial
 
 
 def _pm(parity: int) -> int:
@@ -61,9 +60,9 @@ def D_sign(n: int, method: str = "delta") -> int:
         parity = 0
         while n:
             half = n >> 1
-            parity ^= _binom2_parity(half + (n & 1))
+            parity ^= (half + (n & 1)) & 2  # C(x, 2) is odd iff bit 1 of x is set
             n = half
-        return _pm(parity)
+        return _pm(parity >> 1)
     if method == "paperfolding-product":
         sign = 1
         for j in range(n):
@@ -237,6 +236,9 @@ def nimble_blocks(n: int, m: int) -> list[tuple[int, int]] | None:
     map order-reversing onto the same columns through antidiagonal p - m - 1,
     whose entry is x_{2^k-1} with p = 2^k.  A block of length L contributes
     the sign (-1)^C(L,2) and the factor x_{2^k-1}^L to the determinant.
+    Every L is positive and k strictly descends: a second block at the same
+    p would need p <= 2 lo + m - 1 = 2p - 2 hi - m - 1, that is
+    p >= 2 hi + m + 1, against p <= 2 hi + m - 1 for the first.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
@@ -253,18 +255,21 @@ def nimble_blocks(n: int, m: int) -> list[tuple[int, int]] | None:
 
 
 def blocks_sign(blocks: list[tuple[int, int]]) -> int:
-    """Product of the block signs (-1)^C(L,2): the sign of the permutation."""
-    return _pm(sum(_binom2_parity(length) for _, length in blocks))
+    """Product of the block signs (-1)^C(L,2): the sign of the permutation.
+
+    C(L, 2) is odd iff bit 1 of L is set, so the parity is the sum of those
+    bits."""
+    return _pm(sum(length & 2 for _, length in blocks) >> 1)
 
 
-def _blocks_monomial(blocks: list[tuple[int, int]] | None) -> LaurentPoly:
-    """The signed monomial prod (-1)^C(L,2) x_{2^k-1}^L, or zero for None."""
+def _blocks_monomial(blocks: list[tuple[int, int]] | None) -> Monomial:
+    """The signed monomial prod (-1)^C(L,2) x_{2^k-1}^L, or zero for None.
+
+    The blocks' k strictly descend and every L is positive, so the blocks
+    read in reverse are the ascending exponent pairs as they are."""
     if blocks is None:
-        return LaurentPoly.zero()
-    exps: dict[int, int] = {}
-    for k, length in blocks:
-        exps[k] = exps.get(k, 0) + length
-    return LaurentPoly.monomial(blocks_sign(blocks), exps)
+        return Monomial(0)
+    return Monomial(blocks_sign(blocks), blocks[::-1])
 
 
 def d_shift_int(n: int, m: int) -> int:
@@ -322,32 +327,44 @@ def shift_profile(n: int, m: int) -> dict[int, int]:
     (k+1, k) = 01 give Y mod 2^k, bits 10 give 2^k - (Y mod 2^k), other
     pairs give 0, and zero exponents are dropped.  The low bits come from
     one mask per edge, so the cost is the Theta(log^2 n) bits of output.
-    The keys come in ascending k and every exponent is nonzero, so
-    ``exactring.monomial_text`` renders the items as they are.
+    The keys come in ascending k and every exponent is nonzero.
     """
+    return dict(_profile_items(n, m))
+
+
+def _profile_items(n: int, m: int) -> list[tuple[int, int]]:
+    """``shift_profile``'s (k, e_k) pairs in ascending k, every e_k nonzero:
+    a ``monomial.Monomial``'s exponents as they are."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     y = 2 * n + m
     digits = bin(y)[:1:-1]  # y_0 y_1 ... y_top
     edges = bin(y ^ (y >> 1))[:1:-1]  # bit k set: y_k != y_{k+1}
-    entries = {}
+    items = []
     k = edges.find("1", m.bit_length())
     while k >= 0:
         top = 1 << k
         low = y & (top - 1)
         e = low if digits[k] == "1" else top - low
         if e:
-            entries[k] = e
+            items.append((k, e))
         k = edges.find("1", k + 1)
-    return entries
+    return items
 
 
-def _profile_sign(entries: dict[int, int]) -> int:
-    """(-1)^sum C(e_k, 2): each k lies in one block, so this is the block sign."""
-    return _pm(sum(_binom2_parity(e) for e in entries.values()))
+def profile_monomial(n: int, m: int) -> Monomial:
+    """The unsigned monomial prod x_{2^k-1}^{e_k} of ``shift_profile(n, m)``:
+    the lambda and mu tables at shifts 0 and 1."""
+    return Monomial(1, _profile_items(n, m))
 
 
-def d_shift_generic(n: int, m: int, method: str = "profile") -> LaurentPoly:
+def _profile_sign(items: list[tuple[int, int]]) -> int:
+    """(-1)^sum C(e_k, 2): each k lies in one block, so this is the block
+    sign; C(e, 2) is odd iff bit 1 of e is set."""
+    return _pm(sum(e & 2 for _, e in items) >> 1)
+
+
+def d_shift_generic(n: int, m: int, method: str = "profile") -> Monomial:
     """Symbolic shifted determinant d(n, m): one signed monomial, or zero.
 
     profile: zero off ``shift_support`` (m >= 2), otherwise the
@@ -359,15 +376,15 @@ def d_shift_generic(n: int, m: int, method: str = "profile") -> LaurentPoly:
         raise ValueError("n and m must be nonnegative")
     if method == "profile":
         if m >= 2 and not shift_support(n, m):
-            return LaurentPoly.zero()
-        entries = shift_profile(n, m)
-        return LaurentPoly.monomial(_profile_sign(entries), entries)
+            return Monomial(0)
+        items = _profile_items(n, m)
+        return Monomial(_profile_sign(items), items)
     if method != "recurrence":
         raise ValueError(f"unknown method {method!r}")
     return _blocks_monomial(nimble_blocks(n, m))
 
 
-def generic_d(n: int, method: str = "profile") -> LaurentPoly:
+def generic_d(n: int, method: str = "profile") -> Monomial:
     """Symbolic d(n) = d(n, 0), a single signed monomial (1 at n = 0).
 
     The recurrence peels d(n) = (-1)^C(b,2) x_{2^k-1}^b d(n - b) with
@@ -376,7 +393,7 @@ def generic_d(n: int, method: str = "profile") -> LaurentPoly:
     return d_shift_generic(n, 0, method)
 
 
-def generic_D(n: int, method: str = "profile") -> LaurentPoly:
+def generic_D(n: int, method: str = "profile") -> Monomial:
     """Symbolic D(n) = d(n, 1), a signed monomial in x_{2^k-1}, k >= 1.
 
     The recurrence peels D(n) = (-1)^C(L,2) x_{gamma}^L D(gamma - n) with
@@ -391,7 +408,7 @@ def _tent(y: int, h: int) -> int:
     return max(0, h - abs((y & (4 * h - 1)) - 2 * h))
 
 
-def _profile_ratio(m: int, n: int) -> LaurentPoly:
+def _profile_ratio(m: int, n: int) -> Monomial:
     """d(n, m) d(n+2, m) / d(n+1, m)^2 for m < 2, in O(1 + t) big-integer
     operations, t the trailing run of ones of Y = 2n + m.
 
@@ -401,39 +418,30 @@ def _profile_ratio(m: int, n: int) -> LaurentPoly:
     difference is 0 unless one lies strictly between w and w + 4, that is
     unless Y mod h > h - 4.  For h >= 4, once that fails it fails at 2h too
     (Y mod 2h <= h + Y mod h), so the loop stops there.  The sign of the
-    ratio is d(n, m) d(n+2, m).
+    ratio is d(n, m) d(n+2, m).  The kinks are visited in ascending k.
     """
     sign = d_shift_int(n, m) * d_shift_int(n + 2, m)  # also rejects n < 0
     y = 2 * n + m
-    exps = {}
+    exps = []
     k = m.bit_length()
     h = 1 << k
     while h < 4 or (y & (h - 1)) > h - 4:
         e = _tent(y, h) + _tent(y + 4, h) - 2 * _tent(y + 2, h)
         if e:
-            exps[k] = e
+            exps.append((k, e))
         k += 1
         h <<= 1
-    return LaurentPoly.monomial(sign, exps)
+    return Monomial(sign, exps)
 
 
-def generic_T(n: int) -> LaurentPoly:
+def generic_T(n: int) -> Monomial:
     """T_n = D(n) D(n+2) / D(n+1)^2 as an exact Laurent monomial."""
     return _profile_ratio(1, n)
 
 
-def generic_t(n: int) -> LaurentPoly:
+def generic_t(n: int) -> Monomial:
     """t_n = d(n) d(n+2) / d(n+1)^2 as an exact Laurent monomial."""
     return _profile_ratio(0, n)
-
-
-def ratio_h(n: int) -> LaurentPoly:
-    """d(n) d(n+1) / D(n)^2, which collapses to (-1)^n x0."""
-    value = generic_d(n) * generic_d(n + 1) / (generic_D(n) ** 2)
-    expected = LaurentPoly.monomial(_pm(n & 1), {0: 1})
-    if value != expected:
-        raise AssertionError(f"h({n}) = {value}, expected {expected}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -444,24 +452,22 @@ SPECIAL_KINDS = ("powers", "doubling", "grs")
 
 
 def _special_table(kind: str, variables) -> dict[int, tuple[int, int]]:
-    table: dict[int, tuple[int, int]] = {}
-    for k in variables:
-        if kind == "powers":
-            table[k] = (1, k)
-        elif kind == "doubling":
-            table[k] = (1, (1 << k) - 1)
-        elif kind == "grs":
-            if k == 0:
-                raise ValueError("grs assignment has no value for x0")
-            table[k] = (1 if k == 1 or k % 2 == 0 else -1, 0)
-        else:
-            raise ValueError(f"unknown specialization {kind!r}")
+    """{k: (c, e)}: the named assignment x_{2^k-1} -> c x^e on ``variables``."""
+    if kind == "powers":
+        return {k: (1, k) for k in variables}
+    if kind == "doubling":
+        return {k: (1, (1 << k) - 1) for k in variables}
+    if kind != "grs":
+        raise ValueError(f"unknown specialization {kind!r}")
+    table = {k: (-1 if k & 1 and k != 1 else 1, 0) for k in variables}
+    if 0 in table:
+        raise ValueError("grs assignment has no value for x0")
     return table
 
 
-def specialize_poly(p: LaurentPoly, kind: str) -> LaurentPoly:
+def specialize_poly(p: Monomial, kind: str) -> Monomial:
     """Substitute one of the named assignments into a symbolic value."""
-    return p.specialize(_special_table(kind, p.variables()))
+    return p.specialize(_special_table(kind, [k for k, _ in p.exps]))
 
 
 def specialize_det(kind: str, shifted: bool, n: int):
@@ -473,7 +479,7 @@ def specialize_det(kind: str, shifted: bool, n: int):
     base = generic_D(n) if shifted else generic_d(n)
     value = specialize_poly(base, kind)
     if kind == "grs":
-        return value.constant_value()
+        return value.coeff  # every variable maps to +-1, so the image is constant
     return value
 
 

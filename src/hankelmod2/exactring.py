@@ -1,9 +1,12 @@
-"""Exact arithmetic substrates.
+"""Exact rings for the oracles and the orthogonal polynomials.
 
 * ``LaurentPoly`` -- sparse multivariate Laurent polynomials over Python
-  integers.  Variable index k stands for the indeterminate x_{2^k - 1}
-  (so index 3 is x7); the reserved index ``XVAR = -1`` is the plain
-  specialization variable printed as ``x``.
+  integers: the ring the cofactor oracle expands symbolic determinants in.
+  Variable index k stands for the indeterminate x_{2^k - 1} (so index 3 is
+  x7), as in ``monomial``, whose ``monomial_text`` renders every term.
+  The closed forms never build one; their values are ``monomial.Monomial``,
+  which reads a one-term polynomial through ``monomial_parts``, and a
+  constant polynomial hashes as its int, as a Monomial does.
 * ``UniPoly`` -- dense univariate integer polynomials (orthogonal
   polynomial recurrences).
 
@@ -12,58 +15,9 @@ No floats anywhere.
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-XVAR = -1  # reserved variable index rendered as plain "x"
-
-
-# the names of the first 64 variables; larger indices are formatted on use
-# (a name at index k has about 0.3 k digits)
-_VAR_NAMES = tuple(f"x{(1 << k) - 1}" for k in range(64))
-
-
-def var_name(k: int) -> str:
-    if 0 <= k < 64:
-        return _VAR_NAMES[k]
-    return "x" if k == XVAR else f"x{(1 << k) - 1}"
-
-
-def monomial_text(c: int, items: Iterable[tuple[int, int]]) -> str:
-    """Canonical text of c * prod x_{2^k-1}^e, the one monomial renderer.
-
-    ``items`` are (k, e) pairs in ascending k with every e nonzero (an
-    ``ExponentVector``'s items, or ``closedform.shift_profile``'s).  Positive
-    powers stand above the bar, negative ones below it; |c| leads when it is
-    not 1 or nothing else stands above the bar, so the empty product is "1".
-    """
-    num: list[str] = []
-    den: list[str] = []
-    for k, e in items:
-        name = _VAR_NAMES[k] if 0 <= k < 64 else var_name(k)
-        if e > 0:
-            num.append(name if e == 1 else f"{name}^{e}")
-        else:
-            den.append(name if e == -1 else f"{name}^{-e}")
-    mag = abs(c)
-    if mag != 1 or not num:
-        num.insert(0, str(mag))
-    s = "*".join(num)
-    if den:
-        s += "/" + "*".join(den)
-    return "-" + s if c < 0 else s
-
-
-def var_index_from_subscript(sub: str) -> int:
-    """Map a rendered subscript back to the variable index k (x7 -> 3)."""
-    if sub == "":
-        return XVAR
-    t = int(sub)
-    p = t + 1
-    if p & (p - 1) or p == 0:
-        raise ValueError(f"x{t} is not a legal variable: {t} + 1 must be a power of two")
-    return p.bit_length() - 1
+from .monomial import monomial_text
 
 
 class ExponentVector:
@@ -85,20 +39,11 @@ class ExponentVector:
     def items(self) -> tuple[tuple[int, int], ...]:
         return self._items
 
-    def get(self, k: int) -> int:
-        for kk, e in self._items:
-            if kk == k:
-                return e
-        return 0
-
     def combine(self, other: "ExponentVector") -> "ExponentVector":
         exps = dict(self._items)
         for k, e in other._items:
             exps[k] = exps.get(k, 0) + e
         return ExponentVector(exps.items())
-
-    def negate(self) -> "ExponentVector":
-        return ExponentVector((k, -e) for k, e in self._items)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExponentVector) and self._items == other._items
@@ -116,9 +61,6 @@ class ExponentVector:
 
 
 _ONE_EV = ExponentVector()
-
-_FACTOR_RE = re.compile(r"^x(\d*)(?:\^(-?\d+))?$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 class LaurentPoly:
@@ -166,22 +108,11 @@ class LaurentPoly:
     def terms(self) -> Iterator[tuple[ExponentVector, int]]:
         return iter(sorted(self._terms.items(), key=lambda t: t[0]))
 
-    def constant_value(self) -> int:
-        """The value of a constant polynomial (raises otherwise)."""
-        if not self._terms:
-            return 0
-        if len(self._terms) == 1 and _ONE_EV in self._terms:
-            return self._terms[_ONE_EV]
-        raise ValueError(f"not a constant polynomial: {self}")
-
     def monomial_parts(self) -> tuple[int, ExponentVector]:
         if len(self._terms) != 1:
             raise ValueError(f"not a monomial: {self}")
         ev, c = next(iter(self._terms.items()))
         return c, ev
-
-    def variables(self) -> set[int]:
-        return {k for ev in self._terms for k, _ in ev.items()}
 
     # -- ring operations -------------------------------------------------
 
@@ -237,86 +168,22 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "LaurentPoly":
-        if e < 0:
-            c, ev = self.monomial_parts()
-            if c not in (1, -1):
-                raise ValueError(f"cannot invert coefficient {c} over the integers")
-            return LaurentPoly({ev.negate(): c}) ** (-e)
-        result = LaurentPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __truediv__(self, other) -> "LaurentPoly":
-        """Exact division by a monomial (exponent subtraction)."""
+    def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is NotImplemented:
-            return NotImplemented
-        dc, dev = other.monomial_parts()
-        inv = dev.negate()
-        terms: dict[ExponentVector, int] = {}
-        for ev, c in self._terms.items():
-            q, r = divmod(c, dc)
-            if r:
-                raise ValueError(f"coefficient {c} not divisible by {dc}")
-            terms[ev.combine(inv)] = q
-        return LaurentPoly(terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self._terms == LaurentPoly.constant(other)._terms
-        return isinstance(other, LaurentPoly) and self._terms == other._terms
+            return NotImplemented  # a Monomial answers for itself
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    # -- evaluation and specialization ------------------------------------
-
-    def eval(self, assignment: Mapping[int, Fraction | int]) -> Fraction:
-        """Exact value under a total assignment of the variables.
-
-        Raises KeyError for an unassigned variable and ZeroDivisionError
-        when 0 is assigned to a negatively-powered one.
-        """
-        total = Fraction(0)
-        for ev, c in self._terms.items():
-            val = Fraction(c)
-            for k, e in ev.items():
-                x = Fraction(assignment[k])
-                if x == 0 and e < 0:
-                    raise ZeroDivisionError(f"variable {var_name(k)} is 0 with exponent {e}")
-                val *= x ** e
-            total += val
-        return total
-
-    def specialize(self, table: Mapping[int, tuple[int, int]]) -> "LaurentPoly":
-        """Substitute each variable k by coeff * x**exp per ``table``.
-
-        The result lives in the single reserved variable ``XVAR``.  A
-        coefficient other than +-1 must not carry a negative exponent.
-        """
-        out = LaurentPoly.zero()
-        for ev, c in self._terms.items():
-            coeff = c
-            xexp = 0
-            for k, e in ev.items():
-                vc, ve = table[k]
-                xexp += ve * e
-                if vc == 1:
-                    continue
-                if vc == -1:
-                    coeff = -coeff if e & 1 else coeff
-                elif e >= 0:
-                    coeff *= vc ** e
-                else:
-                    raise ValueError(f"cannot raise coefficient {vc} to negative power {e}")
-            out = out + LaurentPoly.monomial(coeff, {XVAR: xexp} if xexp else {})
-        return out
+        # a monomial hashes as (coefficient, exponent pairs) and a constant
+        # as its int, so equal ints and Monomials hash alike
+        if len(self._terms) > 1:
+            return hash(frozenset(self._terms.items()))
+        if not self._terms:
+            return hash(0)
+        ((ev, c),) = self._terms.items()
+        items = ev.items()
+        return hash((c, items)) if items else hash(c)
 
     # -- canonical text form ----------------------------------------------
 
@@ -336,44 +203,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        """Parse the canonical rendering produced by ``str``."""
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        chunks: list[tuple[int, str]] = []
-        for piece in text.replace(" - ", " +-").split(" +"):
-            piece = piece.strip()
-            if not piece:
-                raise ValueError(f"malformed polynomial text: {text!r}")
-            chunks.append((-1, piece[1:]) if piece.startswith("-") else (1, piece))
-        poly = cls.zero()
-        for sign, chunk in chunks:
-            coeff = sign
-            exps: dict[int, int] = {}
-            num, sep, den = chunk.partition("/")
-            if sep and not den:
-                raise ValueError(f"empty denominator in {text!r}")
-            for source, esign in ((num, 1), (den, -1)):
-                if not source:
-                    continue
-                for factor in source.split("*"):
-                    factor = factor.strip()
-                    if _INT_RE.match(factor):
-                        if esign < 0:
-                            raise ValueError(f"integer factor in denominator: {text!r}")
-                        coeff *= int(factor)
-                        continue
-                    m = _FACTOR_RE.match(factor)
-                    if not m:
-                        raise ValueError(f"bad factor {factor!r} in {text!r}")
-                    k = var_index_from_subscript(m.group(1))
-                    e = int(m.group(2)) if m.group(2) else 1
-                    exps[k] = exps.get(k, 0) + esign * e
-            poly = poly + cls.monomial(coeff, exps)
-        return poly
 
 
 class UniPoly:

@@ -10,8 +10,8 @@ elimination updates rows in place (pivots are +-1 and rows stay short), and
 the sign of the row selection is a cycle count.  ``catalan_shift_parity``
 is a third, mod-2 oracle: the parity of the shifted Catalan determinant
 from the 2-adic valuations of its product formula.  This module imports
-only ``exactring`` and the standard library, so no oracle can call a
-closed form or fall back to one.
+only ``exactring``, the leaf ``monomial`` (for ``XVAR``) and the standard
+library, so no oracle can call a closed form or fall back to one.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .exactring import XVAR, LaurentPoly
+from .exactring import LaurentPoly
+from .monomial import XVAR
 
 INTEGER_KINDS = frozenset({"unit", "grs", "custom"})
 SYMBOLIC_KINDS = frozenset({"generic", "powers", "doubling"})

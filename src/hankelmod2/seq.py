@@ -2,11 +2,10 @@
 
 Everything here is a pure function of an arbitrary-precision nonnegative
 integer.  The digit statistics (``sign_s``, ``sign_v``, ``delta_pairs``,
-``rho_pairs``, ``grs_r``, ``digit_sum``, ``bit_a``) are word-parallel: a
-constant number of big-integer shifts, masks and popcounts, each linear in
-the number of machine words of n.  ``paperfolding_s`` shifts once per
-trailing one, ``ones_total`` does a constant number of operations per set
-bit, and ``nonsquash_b`` fills a cache of every index up to n.
+``rho_pairs``, ``grs_r``, ``bit_a``) are word-parallel: a constant number
+of big-integer shifts, masks and popcounts, each linear in the number of
+machine words of n.  ``paperfolding_s`` shifts once per trailing one, and
+``nonsquash_b`` fills a cache of every index up to n.
 """
 
 from __future__ import annotations
@@ -76,30 +75,6 @@ def grs_r(n: int) -> int:
     is (-1)^rho_pairs(n).
     """
     return -1 if rho_pairs(n) & 1 else 1
-
-
-def ones_total(n: int) -> int:
-    """Total number of 1 digits in the binary expansions of 0, 1, ..., n-1.
-
-    A set bit k of n with j set bits above it covers the 2^k numbers that
-    share those j bits and run through every k-bit tail: k 2^(k-1) + j 2^k.
-    """
-    _check_nonneg(n)
-    total = 0
-    above = 0
-    k = n.bit_length()
-    for digit in bin(n)[2:]:
-        k -= 1
-        if digit == "1":
-            total += (k << k >> 1) + (above << k)
-            above += 1
-    return total
-
-
-def digit_sum(n: int) -> int:
-    """Binary digit sum s_2(n)."""
-    _check_nonneg(n)
-    return n.bit_count()
 
 
 # Cache of non-squashing partition counts; append-only, values are pure.

@@ -23,23 +23,18 @@ from hankelmod2.closedform import (
     generic_d,
     generic_t,
     nimble_blocks,
-    ratio_h,
     shift_profile,
     shift_support,
     specialize_det,
     specialize_poly,
 )
-from hankelmod2.exactring import XVAR, LaurentPoly
+from hankelmod2.exactring import LaurentPoly
 from hankelmod2.hankel import SequenceRule, build_matrix, det_oracle
-from hankelmod2.seq import (
-    digit_sum,
-    grs_r,
-    nonsquash_b,
-    ones_total,
-    paperfolding_s,
-)
+from hankelmod2.monomial import XVAR
+from hankelmod2.seq import grs_r, nonsquash_b, paperfolding_s
+from reference import digit_sum, ones_total, parse_poly, poly_pow
 
-P = LaurentPoly.parse
+P = parse_poly
 
 D_PREFIX = [1, 1, 1, -1, -1, -1, 1, -1, -1, -1, -1, 1]
 T_PREFIX = [1, -1, -1, 1, -1, 1, -1, 1, 1, -1, 1, -1, -1, 1, -1, 1]
@@ -332,7 +327,7 @@ def test_generic_D_methods_agree():
 
 
 def generic_T_ratio(n):
-    """The ratio as LaurentPoly arithmetic on the three monomials."""
+    """The ratio as Monomial arithmetic on the three monomials."""
     return generic_D(n) * generic_D(n + 2) / (generic_D(n + 1) ** 2)
 
 
@@ -406,6 +401,11 @@ def test_generic_t_cases():
         assert generic_t(n) == expect, n
 
 
+def ratio_h(n):
+    """d(n) d(n+1) / D(n)^2, which collapses to (-1)^n x0."""
+    return generic_d(n) * generic_d(n + 1) / (generic_D(n) ** 2)
+
+
 def test_ratio_h():
     assert ratio_h(0) == P("x0")
     assert ratio_h(1) == P("-x0")
@@ -456,8 +456,8 @@ def test_grs_T_coupling():
     # the grs image of T_n is r(n) r(n+2) (Hankel-ratio form of the
     # alternating continued fraction)
     for n in range(10001):
-        got = specialize_poly(generic_T(n), "grs").constant_value()
-        assert got == grs_r(n) * grs_r(n + 2), n
+        got = specialize_poly(generic_T(n), "grs")
+        assert got == grs_r(n) * grs_r(n + 2), n  # a constant: no x is left
 
 
 def test_d_shift_int_printed_lists():
@@ -515,6 +515,30 @@ def test_nimble_blocks_edge_cases():
             nimble_blocks(n, m)
 
 
+def _assert_blocks_descend(n, m):
+    blocks = nimble_blocks(n, m)
+    if blocks is not None:
+        keys = [k for k, _ in blocks]
+        assert all(a > b for a, b in zip(keys, keys[1:])), (n, m, keys)
+        assert all(length > 0 for _, length in blocks), (n, m)
+
+
+def test_nimble_blocks_descend_strictly():
+    # the recurrence fold reads the reversed blocks as ascending exponents
+    for m in range(65):
+        for n in range(1 << 10):
+            _assert_blocks_descend(n, m)
+
+
+@given(_huge_with_trailing_ones(), st.integers(0, 300), st.sampled_from((None, 0, 1)))
+@settings(max_examples=30, deadline=None)
+def test_nimble_blocks_descend_strictly_at_huge_n(n, m, point):
+    if point is not None and m:  # move n onto the support: 0 or -m mod 2^{K+1}
+        period = 1 << (m - 1).bit_length()
+        n -= n % period + (m if point else 0)
+    _assert_blocks_descend(n, m)
+
+
 def test_d_shift_generic_printed_lists():
     assert [str(d_shift_generic(n, 3)) for n in range(13)] == D_SHIFT3_GENERIC_PREFIX
     assert [str(d_shift_generic(n, 5)) for n in range(12)] == D_SHIFT5_GENERIC_PREFIX
@@ -523,7 +547,7 @@ def test_d_shift_generic_printed_lists():
 
 def test_d_shift_generic_step_identity():
     x15 = LaurentPoly.variable(4)
-    assert d_shift_generic(9, 3) == x15 ** 5 * d_shift_generic(4, 3)
+    assert d_shift_generic(9, 3) == poly_pow(x15, 5) * d_shift_generic(4, 3)
 
 
 def test_d_shift_support_rule():
@@ -565,7 +589,7 @@ def test_d_shift_unit_specialization_matches_int():
     for m in range(2, 9):
         for n in range(0, 49):
             sym = d_shift_generic(n, m)
-            unit = sym.eval({k: 1 for k in sym.variables()}) if not sym.is_zero() else 0
+            unit = sym.eval({k: 1 for k, _ in sym.exps})
             assert unit == d_shift_int(n, m), (n, m)
 
 

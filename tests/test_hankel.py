@@ -22,7 +22,8 @@ from hankelmod2.closedform import (
     shifted_diagonal,
 )
 from hankelmod2.contfrac import moment_orthogonality, orthopoly
-from hankelmod2.exactring import XVAR, LaurentPoly, UniPoly
+from hankelmod2.exactring import LaurentPoly, UniPoly
+from hankelmod2.monomial import XVAR
 from hankelmod2.hankel import SequenceRule, build_matrix, catalan_shift_parity, det_oracle
 
 UNIT = SequenceRule("unit", 0)
@@ -481,14 +482,19 @@ def _reach(module):
 
 
 def test_oracle_module_imports_no_closed_form():
-    # the oracles reach nothing but the exact rings and the standard library
+    # the oracles reach nothing but the exact rings, the leaf monomial module
+    # and the standard library
     reached = _reach("hankel")
-    assert set(reached) <= {"hankel", "exactring"}, sorted(reached)
+    assert set(reached) <= {"hankel", "exactring", "monomial"}, sorted(reached)
     for name, absolute in reached.items():
         assert absolute <= sys.stdlib_module_names, (name, absolute - sys.stdlib_module_names)
+    # the monomial type is a leaf: it imports nothing from the package
+    assert _imports(PACKAGE / "monomial.py")[0] == set()
     # the benchmark's output checks are computed apart from the program
     package, absolute = _imports(ROOT / "bench" / "checks.py")
     assert not package and "hankelmod2" not in absolute, (package, absolute)
-    # a closed form never calls the oracle it is checked against
-    for name in ("closedform", "contfrac"):
-        assert "hankel" not in _reach(name), name
+    # a closed form never calls the oracle it is checked against, and builds
+    # its values without the oracles' multi-term ring; contfrac keeps
+    # exactring's UniPoly for the orthogonal polynomials
+    assert not {"hankel", "exactring"} & set(_reach("closedform")), sorted(_reach("closedform"))
+    assert "hankel" not in _reach("contfrac")
